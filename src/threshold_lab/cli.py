@@ -10,8 +10,7 @@ Subcommands:
 * ``demo``        -- the standard worked example end to end
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric guardrail
-failure.  The THRESHOLD_LAB_THREADS environment variable caps sweep
-parallelism.
+failure.
 """
 
 from __future__ import annotations
@@ -218,9 +217,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
     )
     result = coincidence_fraction(spec, cert)
     report = scaling_report(result)
-    csv_path = out_dir / "samples.csv"
-    write_sweep_csv(csv_path, result)
-    result = result.with_csv_path(str(csv_path))
+    write_sweep_csv(out_dir / "samples.csv", result)
     # the summary names the CSV by its constant basename so identical
     # configs give byte-identical files whatever directory they land in
     summary = sweep_summary(result, report, config_echo=cfg.echo)

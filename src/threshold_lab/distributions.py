@@ -118,7 +118,9 @@ class ScalarDistribution:
     def cdf(self, t):
         """P(X <= t); exact 0/1 at the infinite endpoints."""
         arr = _as_array(t)
-        out = self._cdf(arr)
+        # shift 0 and scale 1 leave the standardized point as (t - loc) / scale,
+        # up to the sign of a zero, which no CDF here tells apart
+        out = self.affine_cdf(arr, 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 
     def sf(self, t):
@@ -145,18 +147,28 @@ class ScalarDistribution:
         out = self._pdf_prime(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def _cdf(self, z: np.ndarray) -> np.ndarray:
+    def affine_cdf(self, t, shift, scale):
+        """CDF of shift + scale * X at t, broadcasting over arrays of shifts
+        and scales.
+
+        Performs the same float operations as
+        ``self.affine(shift, scale).cdf(t)``, so each element is
+        bit-identical to it, but builds no distribution per element and
+        validates nothing: the caller keeps scales positive and finite.
+        """
+        if self.kind == "mixture":
+            acc = 0.0
+            for w, comp in self.components:
+                acc = acc + w * comp.affine_cdf(t, shift, scale)
+            return np.clip(acc, 0.0, 1.0)
+        loc, s = self.params
+        z = (t - (shift + scale * loc)) / (scale * s)
         if self.kind == "normal":
-            return ndtr(self._z(z))
+            return ndtr(z)
         if self.kind == "logistic":
-            return expit(self._z(z))
-        if self.kind == "gumbel":
-            with np.errstate(over="ignore", under="ignore"):
-                return np.clip(np.exp(-np.exp(-self._z(z))), 0.0, 1.0)
-        acc = 0.0
-        for w, comp in self.components:
-            acc = acc + w * comp._cdf(z)
-        return np.clip(acc, 0.0, 1.0)
+            return expit(z)
+        with np.errstate(over="ignore", under="ignore"):
+            return np.clip(np.exp(-np.exp(-z)), 0.0, 1.0)
 
     def _sf(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "normal":

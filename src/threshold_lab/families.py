@@ -98,8 +98,12 @@ class ParameterBox:
 class CostFamily:
     """A k-parameter cost family; build via the factory helpers.
 
-    Direct construction skips the factory's well-formedness spot checks;
-    ``instantiate`` still guards every call.
+    ``instantiate(x)`` builds the member distribution at one parameter
+    vector; ``cdf_at(t, xs)`` evaluates F(t | x) for every row of an
+    (n, k) parameter matrix in one array pass, bit-identical to
+    ``instantiate(x).cdf(t)`` row by row.  Direct construction skips the
+    factory's well-formedness spot checks; both methods still guard every
+    call.
     """
 
     kind: str
@@ -112,9 +116,13 @@ class CostFamily:
         return self.box.k
 
     def weights(self, x) -> np.ndarray:
-        """Mixture weights (x_1, ..., x_k, 1 - sum(x)) for mixture_linear."""
+        """Mixture weights (x_1, ..., x_k, 1 - sum(x)) for mixture_linear.
+
+        ``x`` is one parameter vector or an (n, k) matrix of them; the
+        weights are appended along the last axis.
+        """
         x = np.asarray(x, dtype=float)
-        return np.concatenate([x, [1.0 - float(np.sum(x))]])
+        return np.concatenate([x, 1.0 - x.sum(axis=-1, keepdims=True)], axis=-1)
 
     def instantiate(self, x) -> ScalarDistribution:
         """Cost distribution at parameter vector x (must lie in the box)."""
@@ -133,6 +141,39 @@ class CostFamily:
         return ScalarDistribution(
             "mixture", (), tuple((float(wi), d) for wi, d in zip(w, self.basis))
         )
+
+    def cdf_at(self, t: float, xs) -> np.ndarray:
+        """F(t | x) for every row x of an (n, k) parameter matrix, shape (n,).
+
+        Performs the same float operations as ``instantiate(x).cdf(t)``, so
+        every element is bit-identical to the scalar path, and keeps its
+        guards as array checks: OutOfBoxError for a wrong column count or
+        any row outside the box, DegenerateWeightsError for any nonpositive
+        mixture weight.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.k:
+            raise OutOfBoxError(f"expected an (n, {self.k}) parameter matrix, got shape {xs.shape}")
+        inside = np.all((xs >= self.box.lower) & (xs <= self.box.upper), axis=1)
+        if not inside.all():
+            x = xs[np.argmin(inside)]
+            raise OutOfBoxError(f"x = {x.tolist()} outside box [{self.box.lower}, {self.box.upper}]")
+        if self.kind == "location":
+            return self.template.affine_cdf(t, xs[:, 0], 1.0)
+        if self.kind == "location_scale":
+            if np.any(xs[:, 1] <= 0.0):
+                raise DistributionError(f"affine scale must be > 0, got {xs[:, 1].min()}")
+            return self.template.affine_cdf(t, xs[:, 0], xs[:, 1])
+        w = self.weights(xs)
+        if np.any(w <= 0.0):
+            row = int(np.argmin(w.min(axis=1)))
+            raise DegenerateWeightsError(
+                f"x = {xs[row].tolist()} implies a nonpositive mixture weight {w[row].min()!r}"
+            )
+        acc = 0.0
+        for wi, d in zip(w.T, self.basis):
+            acc = acc + wi * d.cdf(t)
+        return np.clip(acc, 0.0, 1.0)
 
 
 def mixture_linear_family(basis, box: ParameterBox) -> CostFamily:

@@ -19,22 +19,21 @@ Two metrics are available:
   optimization per sample (orders of magnitude slower; meant for spot
   validation on small sample counts).
 
-Reproducibility: all draws derive from the spec seed; per-sample work is
-deterministic given its parameter vector, so results are bit-identical
-regardless of how many worker threads run the sweep (capped by the
-THRESHOLD_LAB_THREADS environment variable).
+Reproducibility: all draws derive from the spec seed.  The foc_gap
+metric is one batched CDF evaluation over the whole sample matrix
+(``CostFamily.cdf_at`` at the pivot r * gap(0)), which performs the same
+float operations as the per-sample scalar path ``foc_at_zero`` and so is
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelConfig, foc_at_zero
+from .equilibrium import ModelConfig
 from .errors import CertificateMissingError
 from .families import CostFamily, FamilyCertificate
 from .optimize import accuracy_optimal
@@ -84,8 +83,11 @@ class SweepSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.reward == 0.0:
-            raise ValueError("sweep requires a nonzero reward")
+        # the foc_gap kernel builds no ModelConfig, so its guards live here
+        if not math.isfinite(self.reward) or self.reward == 0.0:
+            raise ValueError(f"sweep requires a finite nonzero reward, got {self.reward}")
+        if not self.pair.normalized:
+            raise ValueError("sweep requires a normalized signal pair")
         tols = tuple(float(t) for t in self.tolerances)
         if not tols or any(t <= 0.0 for t in tols):
             raise ValueError("tolerances must be positive")
@@ -109,10 +111,6 @@ class SweepResult:
     accuracy_thresholds: np.ndarray  # (n,), nan in foc_gap mode
     metrics: np.ndarray  # (n,), the coincidence metric per sample
     certificate: FamilyCertificate
-    samples_csv_path: str | None = None
-
-    def with_csv_path(self, path: str) -> "SweepResult":
-        return replace(self, samples_csv_path=path)
 
 
 @dataclass(frozen=True)
@@ -155,24 +153,6 @@ def fit_loglog_slope(tolerances, fractions):
     return float(coef[1]), False
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("THRESHOLD_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def _evaluate_block(spec: SweepSpec, xs: np.ndarray, focs: np.ndarray, accs: np.ndarray, start: int) -> None:
-    for offset, x in enumerate(xs):
-        cost = spec.family.instantiate(x)
-        model = ModelConfig(pair=spec.pair, cost=cost, reward=spec.reward)
-        focs[start + offset] = foc_at_zero(model)
-        if spec.mode == "threshold_distance":
-            accs[start + offset] = accuracy_optimal(model).threshold
-
-
 def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> SweepResult:
     """Run the sweep and estimate the measure of the coincidence set.
 
@@ -188,24 +168,13 @@ def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> Swe
         )
     samples = sample_parameters(spec)
     n = spec.n_samples
-    focs = np.empty(n)
+    pair = spec.pair
+    focs = (1.0 - 2.0 * spec.family.cdf_at(spec.reward * pair.gap(0.0), samples)) * pair.g0.pdf(0.0)
     accs = np.full(n, math.nan)
-
-    threads = _thread_count()
-    if threads == 1 or n < 64:
-        _evaluate_block(spec, samples, focs, accs, 0)
-    else:
-        # disjoint index blocks; the reduction is a plain indexed write, so
-        # scheduling order cannot change the result
-        edges = np.linspace(0, n, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_evaluate_block, spec, samples[a:b], focs, accs, int(a))
-                for a, b in zip(edges[:-1], edges[1:])
-                if b > a
-            ]
-            for fut in futures:
-                fut.result()
+    if spec.mode == "threshold_distance":
+        for i, x in enumerate(samples):
+            model = ModelConfig(pair=pair, cost=spec.family.instantiate(x), reward=spec.reward)
+            accs[i] = accuracy_optimal(model).threshold
 
     metrics = np.abs(focs) if spec.mode == "foc_gap" else np.abs(accs)
     fractions = tuple(float(np.mean(metrics < tol)) for tol in spec.tolerances)

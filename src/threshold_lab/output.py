@@ -91,20 +91,37 @@ def write_equilibrium_csv(path, m: ModelConfig, ts: np.ndarray) -> None:
     write_csv(path, EQUILIBRIUM_COLUMNS, equilibrium_table(m, ts))
 
 
+#: rows formatted per write in write_sweep_csv; bounds the text held in memory
+SWEEP_CSV_BLOCK = 1024
+
+
 def write_sweep_csv(path, result: SweepResult) -> None:
-    """Per-sample records: parameters, both metrics, coincidence flags."""
+    """Per-sample records: parameters, both metrics, coincidence flags.
+
+    Byte-identical to ``write_csv`` over the same rows (fmt_float cells,
+    "1"/"0" flags, ``\\r\\n`` row ends), but formats the rows block by block
+    from stacked columns instead of building a list per row.
+    """
     k = result.samples.shape[1]
     header = (
         [f"x_{i + 1}" for i in range(k)]
         + ["foc_gap", "accuracy_t"]
         + [f"coincident@{tol:g}" for tol in result.tolerances]
     )
-    rows = []
-    for j in range(result.n_samples):
-        row = list(result.samples[j]) + [result.foc_gaps[j], result.accuracy_thresholds[j]]
-        row += [bool(result.metrics[j] < tol) for tol in result.tolerances]
-        rows.append(row)
-    write_csv(path, header, rows)
+    floats = np.column_stack([result.samples, result.foc_gaps, result.accuracy_thresholds])
+    flags = np.column_stack([result.metrics < tol for tol in result.tolerances]).view(np.uint8)
+    # "{:.17g}" spells nan and +-inf as fmt_float does
+    row_format = ",".join(["{:.17g}"] * floats.shape[1] + ["{:d}"] * flags.shape[1]) + "\r\n"
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, result.n_samples, SWEEP_CSV_BLOCK):
+            stop = start + SWEEP_CSV_BLOCK
+            fh.writelines(
+                row_format.format(*row, *bits)
+                for row, bits in zip(floats[start:stop].tolist(), flags[start:stop].tolist())
+            )
 
 
 def sweep_summary(result: SweepResult, report: ScalingReport, config_echo: dict | None = None) -> dict:

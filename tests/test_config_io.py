@@ -6,14 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from threshold_lab import ConfigError, ModelConfig, logistic, normal, normalize_pair
+from threshold_lab import ConfigError, FamilyCertificate, ModelConfig, logistic, normal, normalize_pair
 from threshold_lab.config import DEFAULTS, load_config, load_config_dict
+from threshold_lab.genericity import SweepResult
 from threshold_lab.output import (
+    SWEEP_CSV_BLOCK,
     equilibrium_table,
     fmt_float,
     write_csv,
     write_equilibrium_csv,
     write_json,
+    write_sweep_csv,
     write_xy,
 )
 
@@ -140,3 +143,46 @@ def test_write_csv_quoting(tmp_path):
     rows = list(csv.reader(path.open()))
     assert rows[1] == ["x,y", "1.5"]
     assert rows[2] == ["plain", "1"]
+
+
+def _row_writer_sweep_csv(path, result):
+    """Reference: the per-row write_csv path write_sweep_csv must match."""
+    k = result.samples.shape[1]
+    header = ([f"x_{i + 1}" for i in range(k)] + ["foc_gap", "accuracy_t"]
+              + [f"coincident@{tol:g}" for tol in result.tolerances])
+    rows = []
+    for j in range(result.n_samples):
+        row = list(result.samples[j]) + [result.foc_gaps[j], result.accuracy_thresholds[j]]
+        row += [bool(result.metrics[j] < tol) for tol in result.tolerances]
+        rows.append(row)
+    write_csv(path, header, rows)
+
+
+@pytest.mark.parametrize("mode", ["foc_gap", "threshold_distance"])
+@pytest.mark.parametrize("n", [5, SWEEP_CSV_BLOCK, 2 * SWEEP_CSV_BLOCK + 37])
+def test_sweep_csv_matches_row_writer(tmp_path, mode, n):
+    rng = np.random.default_rng(n)
+    edges = np.array([-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1e308])
+    samples = rng.normal(size=(n, 2))
+    samples[: min(n, len(edges)), 0] = edges[:n]
+    focs = rng.normal(scale=0.1, size=n)
+    focs[-min(n, len(edges)):] = edges[:n]
+    accs = np.full(n, np.nan) if mode == "foc_gap" else rng.normal(scale=0.1, size=n)
+    if mode == "threshold_distance":
+        accs[::7] = np.resize(edges, accs[::7].shape)
+    tolerances = (0.1, 0.01, 0.001)
+    metrics = np.abs(focs if mode == "foc_gap" else accs)
+    result = SweepResult(
+        tolerances=tolerances,
+        fractions=tuple(float(np.mean(metrics < t)) for t in tolerances),
+        scaling_slope=1.0, degenerate_fit=False, n_samples=n, seed=0, mode=mode,
+        samples=samples, foc_gaps=focs, accuracy_thresholds=accs, metrics=metrics,
+        certificate=FamilyCertificate(True, True, True, {}),
+    )
+    write_sweep_csv(tmp_path / "blocks.csv", result)
+    _row_writer_sweep_csv(tmp_path / "rows.csv", result)
+    text = (tmp_path / "blocks.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    if n > len(edges):  # every edge value made it into the file
+        cells = set(text.replace(b"\r\n", b",").split(b","))
+        assert {b"-0", b"4.9406564584124654e-324", b"inf", b"-inf", b"nan", b"1e+308"} <= cells

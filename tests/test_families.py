@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     CostFamily,
@@ -13,10 +15,12 @@ from threshold_lab import (
     check_linearity,
     check_responsiveness,
     check_smoothness,
+    gumbel,
     location_family,
     location_scale_family,
     logistic,
     make_cost_family,
+    mixture,
     mixture_linear_family,
     normal,
 )
@@ -70,6 +74,47 @@ def test_degenerate_weights_guard():
     raw = CostFamily("mixture_linear", ParameterBox((0.0,), (0.5,)), basis=(normal(-1, 1), normal(1, 1)))
     with pytest.raises(DegenerateWeightsError):
         raw.instantiate([0.0])
+
+
+def test_cdf_at_guards():
+    fam = location_family(logistic(0, 1), BOX1)
+    with pytest.raises(OutOfBoxError):
+        fam.cdf_at(0.0, [[0.0], [99.0]])
+    with pytest.raises(OutOfBoxError):
+        fam.cdf_at(0.0, np.zeros((3, 2)))  # (n, k + 1)
+    raw = CostFamily("mixture_linear", ParameterBox((0.0,), (0.5,)), basis=(normal(-1, 1), normal(1, 1)))
+    with pytest.raises(DegenerateWeightsError):
+        raw.cdf_at(0.0, [[0.25], [0.0]])
+    # a raw location_scale box reaching a nonpositive scale fails like instantiate
+    raw = CostFamily("location_scale", ParameterBox((-1.0, -1.0), (1.0, 1.0)), template=normal(0, 1))
+    with pytest.raises(DistributionError):
+        raw.instantiate([0.0, -0.5])
+    with pytest.raises(DistributionError):
+        raw.cdf_at(0.0, [[0.0, 0.5], [0.0, -0.5]])
+
+
+CDF_AT_FAMILIES = {
+    "location": location_family(gumbel(0, 1.1), BOX1),
+    "location_scale": location_scale_family(
+        mixture([(0.5, normal(-0.5, 1.0)), (0.5, logistic(0.5, 1.0))]), ParameterBox((-3.0, 0.5), (3.0, 2.0))
+    ),
+    "mixture_linear": mixture_linear_family(
+        (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)), ParameterBox((0.1, 0.1), (0.45, 0.45))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CDF_AT_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), t=st.floats(-8.0, 8.0))
+def test_cdf_at_matches_instantiate(kind, data, t):
+    fam = CDF_AT_FAMILIES[kind]
+    row = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(fam.box.lower, fam.box.upper)))
+    xs = np.array(data.draw(st.lists(row, min_size=1, max_size=20)))
+    got = fam.cdf_at(t, xs)
+    assert got.shape == (len(xs),)
+    for i, x in enumerate(xs):
+        assert got[i] == fam.instantiate(x).cdf(t)
 
 
 def test_box_dimension_must_match_kind():

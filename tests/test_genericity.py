@@ -1,5 +1,7 @@
 """Coincidence-measure sweeps: sampling, fractions, scaling, controls."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +10,19 @@ import pytest
 from conftest import DELTA0, PHI1_PDF, logistic_cdf
 from threshold_lab import (
     CertificateMissingError,
+    FamilyCertificate,
+    ModelConfig,
     ParameterBox,
     SweepSpec,
     certify,
     coincidence_fraction,
     fit_loglog_slope,
+    foc_at_zero,
+    gumbel,
     location_family,
+    location_scale_family,
     logistic,
+    mixture,
     mixture_linear_family,
     normal,
     sample_parameters,
@@ -56,6 +64,10 @@ def test_spec_validation(std_pair, logistic_location):
         make_spec(fam, std_pair, tolerances=(0.1, -0.01))
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, reward=0.0)
+    with pytest.raises(ValueError):
+        make_spec(fam, std_pair, reward=math.inf)
+    with pytest.raises(ValueError):
+        make_spec(fam, dataclasses.replace(std_pair, normalized=False))
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, n_samples=0)
     with pytest.raises(ValueError):
@@ -109,14 +121,25 @@ def test_reproducibility_bit_identical(std_pair, logistic_location):
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_threaded_run_identical(std_pair, logistic_location, monkeypatch):
-    fam, cert = logistic_location
-    spec = make_spec(fam, std_pair, n_samples=500, seed=5)
-    serial = coincidence_fraction(spec, cert)
-    monkeypatch.setenv("THRESHOLD_LAB_THREADS", "4")
-    threaded = coincidence_fraction(spec, cert)
-    assert np.array_equal(serial.metrics, threaded.metrics)
-    assert serial.fractions == threaded.fractions
+def test_batched_equals_scalar(std_pair, suite_pairs):
+    """The batched foc_gap kernel equals foc_at_zero on each instantiated
+    member exactly, for every family kind, template kind and reward."""
+    pairs = [std_pair] + [next(p for name, p in suite_pairs if name.startswith(kind))
+                          for kind in ("gumbel", "mixture")]
+    templates = (normal(0.3, 1.5), logistic(0, 1), gumbel(0, 1.1),
+                 mixture([(0.5, normal(-0.5, 1.0)), (0.5, logistic(0.5, 1.0))]))
+    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True, evidence={})
+    for template in templates:
+        families = (
+            location_family(template, ParameterBox((-3.0,), (3.0,))),
+            location_scale_family(template, ParameterBox((-3.0, 0.5), (3.0, 2.0))),
+            mixture_linear_family((normal(-2, 0.8), normal(2, 0.8), template),
+                                  ParameterBox((0.1, 0.1), (0.45, 0.45))),
+        )
+        for fam, pair, r in itertools.product(families, pairs, (0.5, 1.0, 2.0)):
+            res = coincidence_fraction(make_spec(fam, pair, reward=r, n_samples=100, seed=5), cert)
+            scalar = [foc_at_zero(ModelConfig(pair, fam.instantiate(x), r)) for x in res.samples]
+            assert np.array_equal(res.foc_gaps, scalar), (fam.kind, template.kind, r)
 
 
 def test_mode_consistency(std_pair, logistic_location):
