@@ -65,8 +65,10 @@ from .optimize import (
     EquivalenceVerdict,
     OptResult,
     accuracy_optimal,
+    accuracy_thresholds,
     compliance_optimal,
     equivalence_test,
+    equivalence_verdict,
 )
 from .signals import (
     AdmissibilityReport,
@@ -120,6 +122,8 @@ __all__ = [
     "EquivalenceVerdict",
     "compliance_optimal",
     "accuracy_optimal",
+    "accuracy_thresholds",
+    "equivalence_verdict",
     "equivalence_test",
     # genericity
     "SweepSpec",

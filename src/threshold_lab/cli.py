@@ -29,7 +29,8 @@ from .equilibrium import ModelConfig, eu_pos
 from .errors import ConfigError, ThresholdLabError, VerificationFailedError
 from .families import certify
 from .genericity import SweepSpec, coincidence_fraction, scaling_report
-from .optimize import accuracy_optimal, compliance_optimal, equivalence_test
+from .optimize import accuracy_optimal, compliance_optimal, equivalence_verdict
+from .optimize import equivalence_test  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 from .output import (
     EQUILIBRIUM_COLUMNS,
     equilibrium_table,
@@ -177,7 +178,7 @@ def _cmd_optimize(args) -> int:
     model = ModelConfig(pair=pair, cost=_require_cost(cfg), reward=cfg.reward)
     compliance = compliance_optimal(model)
     accuracy = accuracy_optimal(model)
-    verdict = equivalence_test(model, tol)
+    verdict = equivalence_verdict(model, compliance, accuracy, tol)
     payload = {
         "compliance": {
             "threshold": compliance.threshold,
@@ -281,7 +282,7 @@ def _cmd_demo(args) -> int:
 
     compliance = compliance_optimal(model)
     accuracy = accuracy_optimal(model)
-    verdict = equivalence_test(model, cfg.equivalence_tolerance)
+    verdict = equivalence_verdict(model, compliance, accuracy, cfg.equivalence_tolerance)
     print(
         f"[demo] compliance optimum t = {compliance.threshold:g} "
         f"(prevalence {compliance.value:.6f}); accuracy optimum t = {accuracy.threshold:.6f} "

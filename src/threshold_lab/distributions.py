@@ -132,7 +132,7 @@ class ScalarDistribution:
     def pdf(self, t):
         """Density, floored at PDF_FLOOR so it is strictly positive."""
         arr = _as_array(t)
-        out = np.maximum(self._pdf(arr), PDF_FLOOR)
+        out = self.affine_pdf(arr, 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 
     def log_pdf(self, t):
@@ -170,6 +170,35 @@ class ScalarDistribution:
         with np.errstate(over="ignore", under="ignore"):
             return np.clip(np.exp(-np.exp(-z)), 0.0, 1.0)
 
+    def affine_pdf(self, t, shift, scale):
+        """Density of shift + scale * X at t, floored at PDF_FLOOR,
+        broadcasting over arrays of shifts and scales.
+
+        The counterpart of ``affine_cdf``: the same float operations as
+        ``self.affine(shift, scale).pdf(t)``, so each element is
+        bit-identical to it, with no validation.
+        """
+        return np.maximum(self._affine_density(t, shift, scale), PDF_FLOOR)
+
+    def _affine_density(self, t, shift, scale):
+        # unfloored: a mixture floors the weighted sum, not its components
+        if self.kind == "mixture":
+            acc = 0.0
+            for w, comp in self.components:
+                acc = acc + w * comp._affine_density(t, shift, scale)
+            return acc
+        loc, s = self.params
+        s = scale * s  # the transformed member's scale
+        z = (t - (shift + scale * loc)) / s
+        if self.kind == "normal":
+            with np.errstate(under="ignore"):
+                return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+        if self.kind == "logistic":
+            # expit(z)*expit(-z): both factors at full precision, unlike p*(1-p)
+            return expit(z) * expit(-z) / s
+        with np.errstate(over="ignore", under="ignore"):
+            return np.where(np.isfinite(z), np.exp(-z - np.exp(-z)), 0.0) / s
+
     def _sf(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "normal":
             return ndtr(-self._z(z))
@@ -182,24 +211,6 @@ class ScalarDistribution:
         for w, comp in self.components:
             acc = acc + w * comp._sf(z)
         return np.clip(acc, 0.0, 1.0)
-
-    def _pdf(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "normal":
-            z = self._z(t)
-            with np.errstate(under="ignore"):
-                return np.exp(-0.5 * z * z) / (self.params[1] * math.sqrt(2.0 * math.pi))
-        if self.kind == "logistic":
-            z = self._z(t)
-            # expit(z)*expit(-z): both factors at full precision, unlike p*(1-p)
-            return expit(z) * expit(-z) / self.params[1]
-        if self.kind == "gumbel":
-            z = self._z(t)
-            with np.errstate(over="ignore", under="ignore"):
-                return np.where(np.isfinite(z), np.exp(-z - np.exp(-z)), 0.0) / self.params[1]
-        acc = 0.0
-        for w, comp in self.components:
-            acc = acc + w * comp._pdf(t)
-        return acc
 
     def _log_pdf(self, t: np.ndarray) -> np.ndarray:
         if self.kind == "normal":
@@ -216,20 +227,19 @@ class ScalarDistribution:
         return logsumexp(logs, axis=0)
 
     def _pdf_prime(self, t: np.ndarray) -> np.ndarray:
+        if self.kind == "mixture":
+            acc = 0.0
+            for w, comp in self.components:
+                acc = acc + w * comp._pdf_prime(t)
+            return acc
+        z = self._z(t)
+        dens = self._affine_density(t, 0.0, 1.0)
         if self.kind == "normal":
-            z = self._z(t)
-            return -z * self._pdf(t) / self.params[1]
+            return -z * dens / self.params[1]
         if self.kind == "logistic":
-            z = self._z(t)
-            return -np.tanh(z / 2.0) * self._pdf(t) / self.params[1]
-        if self.kind == "gumbel":
-            z = self._z(t)
-            with np.errstate(over="ignore", under="ignore"):
-                return np.where(np.isfinite(z), np.expm1(-z), 0.0) * self._pdf(t) / self.params[1]
-        acc = 0.0
-        for w, comp in self.components:
-            acc = acc + w * comp._pdf_prime(t)
-        return acc
+            return -np.tanh(z / 2.0) * dens / self.params[1]
+        with np.errstate(over="ignore", under="ignore"):
+            return np.where(np.isfinite(z), np.expm1(-z), 0.0) * dens / self.params[1]
 
     # -- transforms ------------------------------------------------------
 

@@ -109,8 +109,7 @@ def eu_pos(m: ModelConfig, t):
     it pays no one and the payoff is 1 - F(0).
     """
     arr = np.asarray(t, dtype=float)
-    pi = m.cost.cdf(m.reward * m.pair.gap(arr))
-    out = pi * m.pair.g1.sf(arr) + (1.0 - pi) * m.pair.g0.cdf(arr)
+    out = _eu_pos(m.pair, m.reward, m.cost.cdf, arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -119,13 +118,28 @@ def deu_pos(m: ModelConfig, t):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("deu_pos is defined for finite thresholds only")
-    g0, g1 = m.pair.g0, m.pair.g1
-    gap = m.pair.gap(arr)
-    p0, p1 = g0.pdf(arr), g1.pdf(arr)
-    dpi = m.cost.pdf(m.reward * gap) * m.reward * (p0 - p1)
-    pi = m.cost.cdf(m.reward * gap)
-    out = dpi * (1.0 - g0.cdf(arr) - g1.cdf(arr)) - pi * (p0 + p1) + p0
+    out = _deu_pos(m.pair, m.reward, m.cost.cdf, m.cost.pdf, arr)
     return float(out) if arr.ndim == 0 else out
+
+
+# The two formulas with the cost CDF and density passed as callables of
+# the prevalence pivot r * gap(t): ``eu_pos``/``deu_pos`` pass one cost
+# distribution, the batched optimizer a cost family's ``cdf_at``/``pdf_at``
+# over a parameter matrix, so both paths do the same float operations.
+
+
+def _eu_pos(pair: SignalPair, reward: float, cost_cdf, t):
+    pi = cost_cdf(reward * pair.gap(t))
+    return pi * pair.g1.sf(t) + (1.0 - pi) * pair.g0.cdf(t)
+
+
+def _deu_pos(pair: SignalPair, reward: float, cost_cdf, cost_pdf, t):
+    g0, g1 = pair.g0, pair.g1
+    gap = pair.gap(t)
+    p0, p1 = g0.pdf(t), g1.pdf(t)
+    dpi = cost_pdf(reward * gap) * reward * (p0 - p1)
+    pi = cost_cdf(reward * gap)
+    return dpi * (1.0 - g0.cdf(t) - g1.cdf(t)) - pi * (p0 + p1) + p0
 
 
 def foc_at_zero(m: ModelConfig) -> float:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .distributions import (
     CDF_PDF_TOL,
+    PDF_FLOOR,
     PDF_PRIME_TOL,
     ScalarDistribution,
     derivative_consistency,
@@ -99,11 +100,11 @@ class CostFamily:
     """A k-parameter cost family; build via the factory helpers.
 
     ``instantiate(x)`` builds the member distribution at one parameter
-    vector; ``cdf_at(t, xs)`` evaluates F(t | x) for every row of an
-    (n, k) parameter matrix in one array pass, bit-identical to
-    ``instantiate(x).cdf(t)`` row by row.  Direct construction skips the
-    factory's well-formedness spot checks; both methods still guard every
-    call.
+    vector; ``cdf_at(t, xs)`` and ``pdf_at(t, xs)`` evaluate F(t | x) and
+    f(t | x) for every row of an (n, k) parameter matrix in one array
+    pass, bit-identical to ``instantiate(x).cdf(t)`` / ``.pdf(t)`` row by
+    row.  Direct construction skips the factory's well-formedness spot
+    checks; all three methods still guard every call.
     """
 
     kind: str
@@ -142,15 +143,26 @@ class CostFamily:
             "mixture", (), tuple((float(wi), d) for wi, d in zip(w, self.basis))
         )
 
-    def cdf_at(self, t: float, xs) -> np.ndarray:
-        """F(t | x) for every row x of an (n, k) parameter matrix, shape (n,).
+    def cdf_at(self, t, xs) -> np.ndarray:
+        """F(t | x) for every row x of an (n, k) parameter matrix.
 
-        Performs the same float operations as ``instantiate(x).cdf(t)``, so
-        every element is bit-identical to the scalar path, and keeps its
-        guards as array checks: OutOfBoxError for a wrong column count or
-        any row outside the box, DegenerateWeightsError for any nonpositive
-        mixture weight.
+        ``t`` is a scalar, or an array whose first axis runs over the rows
+        (length n, or 1 to share the trailing points among all rows); the
+        result has shape (n,) or (n,) + t.shape[1:].  Performs the same
+        float operations as ``instantiate(x).cdf(t)``, so every element is
+        bit-identical to the scalar path, and keeps its guards as array
+        checks: OutOfBoxError for a wrong column count or any row outside
+        the box, DegenerateWeightsError for any nonpositive mixture weight.
         """
+        return self._eval_at("cdf", t, xs)
+
+    def pdf_at(self, t, xs) -> np.ndarray:
+        """Density f(t | x) for every row x; the ``cdf_at`` counterpart,
+        bit-identical to ``instantiate(x).pdf(t)`` and floored at
+        PDF_FLOOR the same way, with the same guards."""
+        return self._eval_at("pdf", t, xs)
+
+    def _eval_at(self, what: str, t, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.k:
             raise OutOfBoxError(f"expected an (n, {self.k}) parameter matrix, got shape {xs.shape}")
@@ -158,22 +170,27 @@ class CostFamily:
         if not inside.all():
             x = xs[np.argmin(inside)]
             raise OutOfBoxError(f"x = {x.tolist()} outside box [{self.box.lower}, {self.box.upper}]")
-        if self.kind == "location":
-            return self.template.affine_cdf(t, xs[:, 0], 1.0)
-        if self.kind == "location_scale":
-            if np.any(xs[:, 1] <= 0.0):
+        # one parameter column per row, broadcast over t's trailing axes
+        cols = xs.T.reshape((self.k, len(xs)) + (1,) * max(np.ndim(t) - 1, 0))
+        if self.kind in ("location", "location_scale"):
+            if self.kind == "location_scale" and np.any(xs[:, 1] <= 0.0):
                 raise DistributionError(f"affine scale must be > 0, got {xs[:, 1].min()}")
-            return self.template.affine_cdf(t, xs[:, 0], xs[:, 1])
+            scale = cols[1] if self.kind == "location_scale" else 1.0
+            affine = self.template.affine_cdf if what == "cdf" else self.template.affine_pdf
+            return affine(t, cols[0], scale)
         w = self.weights(xs)
         if np.any(w <= 0.0):
             row = int(np.argmin(w.min(axis=1)))
             raise DegenerateWeightsError(
                 f"x = {xs[row].tolist()} implies a nonpositive mixture weight {w[row].min()!r}"
             )
+        # the member is a mixture over the basis: sum the weighted
+        # components, then clip (cdf) or floor (pdf) the sum, as
+        # ScalarDistribution does for a mixture
         acc = 0.0
-        for wi, d in zip(w.T, self.basis):
-            acc = acc + wi * d.cdf(t)
-        return np.clip(acc, 0.0, 1.0)
+        for wi, d in zip(w.T.reshape((self.k + 1,) + cols.shape[1:]), self.basis):
+            acc = acc + wi * (d.cdf(t) if what == "cdf" else d._affine_density(t, 0.0, 1.0))
+        return np.clip(acc, 0.0, 1.0) if what == "cdf" else np.maximum(acc, PDF_FLOOR)
 
 
 def mixture_linear_family(basis, box: ParameterBox) -> CostFamily:

@@ -15,15 +15,16 @@ Two metrics are available:
 
 * ``foc_gap`` (default) -- |payoff slope at 0|, one closed-form
   evaluation per sample;
-* ``threshold_distance`` -- |accuracy-optimal threshold|, a full
-  optimization per sample (orders of magnitude slower; meant for spot
-  validation on small sample counts).
+* ``threshold_distance`` -- |accuracy-optimal threshold|, the optimum
+  of every sample found in one batched run of the optimizer
+  (``accuracy_thresholds``: a grid scan in row blocks, then a lockstep
+  slope bisection over all samples).
 
-Reproducibility: all draws derive from the spec seed.  The foc_gap
-metric is one batched CDF evaluation over the whole sample matrix
-(``CostFamily.cdf_at`` at the pivot r * gap(0)), which performs the same
-float operations as the per-sample scalar path ``foc_at_zero`` and so is
-bit-identical to it.
+Reproducibility: all draws derive from the spec seed.  Both metrics are
+batched over the whole sample matrix through ``CostFamily.cdf_at`` (and
+``pdf_at``), which perform the same float operations as the per-sample
+scalar paths ``foc_at_zero`` and ``accuracy_optimal`` and so are
+bit-identical to them.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelConfig
 from .errors import CertificateMissingError
 from .families import CostFamily, FamilyCertificate
-from .optimize import accuracy_optimal
+from .optimize import accuracy_optimal  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
+from .optimize import accuracy_thresholds
 from .signals import SignalPair
 
 __all__ = [
@@ -83,7 +84,7 @@ class SweepSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        # the foc_gap kernel builds no ModelConfig, so its guards live here
+        # the batched kernels build no ModelConfig, so its guards live here
         if not math.isfinite(self.reward) or self.reward == 0.0:
             raise ValueError(f"sweep requires a finite nonzero reward, got {self.reward}")
         if not self.pair.normalized:
@@ -170,11 +171,10 @@ def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> Swe
     n = spec.n_samples
     pair = spec.pair
     focs = (1.0 - 2.0 * spec.family.cdf_at(spec.reward * pair.gap(0.0), samples)) * pair.g0.pdf(0.0)
-    accs = np.full(n, math.nan)
     if spec.mode == "threshold_distance":
-        for i, x in enumerate(samples):
-            model = ModelConfig(pair=pair, cost=spec.family.instantiate(x), reward=spec.reward)
-            accs[i] = accuracy_optimal(model).threshold
+        accs = accuracy_thresholds(spec.family, samples, pair, spec.reward)
+    else:
+        accs = np.full(n, math.nan)
 
     metrics = np.abs(focs) if spec.mode == "foc_gap" else np.abs(accs)
     fractions = tuple(float(np.mean(metrics < tol)) for tol in spec.tolerances)
@@ -207,9 +207,16 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     rng = np.random.default_rng((result.seed, _BOOTSTRAP_SALT))
     slopes = []
     n = result.n_samples
+    n_tols = len(result.tolerances)
+    # level of a sample: how many tolerances its metric is below.  With a
+    # descending ladder, the samples below tolerance j are those of level
+    # > j, so one bincount per resample gives every count, and count / n
+    # is exactly the np.mean of the boolean mask.
+    levels = np.sum(result.metrics[:, None] < np.asarray(result.tolerances), axis=1)
     for _ in range(n_resamples):
-        take = result.metrics[rng.integers(0, n, n)]
-        fracs = tuple(float(np.mean(take < tol)) for tol in result.tolerances)
+        counts = np.bincount(levels[rng.integers(0, n, n)], minlength=n_tols + 1)
+        below = np.cumsum(counts[::-1])[::-1]
+        fracs = tuple(float(c) / n for c in below[1:])
         slope, degenerate = fit_loglog_slope(result.tolerances, fracs)
         if not degenerate:
             slopes.append(slope)

@@ -6,15 +6,20 @@ and the cost CDF is increasing); ``compliance_optimal`` returns it and
 runs a numeric guardrail over the search grid that fails loudly if any
 grid point beats it, which would indicate a broken normalization upstream.
 
-The accuracy payoff carries no concavity guarantee, so
-``accuracy_optimal`` does a dense grid scan over the search window plus
-the two infinite endpoints, refines the best finite candidate by
-golden-section, and then pins the stationary point by bisecting the
-closed-form payoff slope inside a small bracket.  The polish step matters:
-near a smooth maximum the payoff is flat to machine precision within
-~1e-8 of the optimum, so value comparisons alone cannot localize the
-argmax tighter than that, while the slope crosses zero transversally and
-bisects to ~1e-12.
+The accuracy payoff carries no concavity guarantee, so the accuracy
+optimum is found by one refiner: a dense grid scan over the search
+window, then bisection of the closed-form payoff slope ``deu_pos`` on the
+two grid cells around the grid argmax, down to a bracket of 1e-12, and
+finally a comparison with the two infinite endpoints.  Bisecting the
+slope, not comparing payoff values, is what localizes the optimum: near a
+smooth maximum the payoff is flat to machine precision within ~1e-8 of
+the argmax, while the slope crosses zero transversally and pins it to
+~1e-12.  When the slope does not change sign from + to - across those two
+cells there is no interior maximum to pin, and the grid point stands.
+
+The refiner runs over rows in lockstep: ``accuracy_optimal`` feeds it one
+model, ``accuracy_thresholds`` every member of a cost family at once
+through ``CostFamily.cdf_at``/``pdf_at``, with bit-identical results.
 
 Coincidence of the two optima is judged by threshold proximity
 (|accuracy threshold| < tol with a finite accuracy optimum); the payoff
@@ -29,18 +34,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelConfig, deu_pos, eu_pos, foc_at_zero, prevalence_pos
+from .equilibrium import ModelConfig, _deu_pos, _eu_pos, deu_pos, eu_pos, foc_at_zero, prevalence_pos
 from .errors import VerificationFailedError
+from .families import CostFamily
+from .signals import SignalPair
 
 __all__ = [
     "SEARCH_LO",
     "SEARCH_HI",
     "SEARCH_N",
     "GUARDRAIL_SLACK",
+    "BISECT_WIDTH",
     "OptResult",
     "EquivalenceVerdict",
     "compliance_optimal",
     "accuracy_optimal",
+    "accuracy_thresholds",
+    "equivalence_verdict",
     "equivalence_test",
 ]
 
@@ -51,9 +61,12 @@ SEARCH_HI = 10.0
 SEARCH_N = 401
 
 GUARDRAIL_SLACK = 1e-9
-_GOLDEN_TOL = 1e-10
-_POLISH_HALF_WIDTH = 1e-6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: the slope bisection stops once its bracket is this narrow
+BISECT_WIDTH = 1e-12
+#: rows per block of the grid scan: each temporary is 32 x SEARCH_N floats
+#: (~100 kB), which keeps peak memory flat in the sample count and is no
+#: slower than larger blocks
+_GRID_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -105,111 +118,126 @@ def compliance_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH
     return OptResult(threshold=0.0, value=at_zero, method="closed_form", iterations=0, bracket_width=0.0)
 
 
-def _golden_max(f, a: float, b: float, tol: float = _GOLDEN_TOL):
-    """Golden-section maximization of a unimodal bracket; returns
-    (x, f(x), iterations, final bracket width)."""
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    iters = 0
-    while b - a > tol and iters < 200:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-        iters += 1
-    x = x1 if f1 >= f2 else x2
-    return x, f(x), iters, b - a
+def _refine(eu, deu, n_rows: int, lo: float, hi: float, n: int):
+    """The accuracy optimum of n_rows payoff curves, refined in lockstep.
 
-
-def _polish_stationary(m: ModelConfig, x: float, half_width: float = _POLISH_HALF_WIDTH):
-    """Bisect deu_pos to pin the stationary point near x; None if no sign change."""
-    a, b = x - half_width, x + half_width
-    fa, fb = deu_pos(m, a), deu_pos(m, b)
-    if fa == 0.0:
-        return a, 0.0
-    if fb == 0.0:
-        return b, 0.0
-    if (fa > 0.0) == (fb > 0.0):
-        return None
-    while b - a > 1e-12:
+    ``eu(t, rows)`` is the payoff of the rows selected by the slice
+    ``rows`` at t of shape (1, m) or (rows, m); ``deu(t)`` is the slope of
+    every row at t of shape (n_rows,).  Each row follows exactly the steps
+    it would follow alone.  Returns per-row arrays (threshold, value,
+    iterations, bracket width, boundary flag).
+    """
+    grid = _grid(lo, hi, n)
+    best = np.empty(n_rows, dtype=np.intp)
+    for start in range(0, n_rows, _GRID_BLOCK):
+        rows = slice(start, min(start + _GRID_BLOCK, n_rows))
+        best[rows] = np.argmax(eu(grid[None, :], rows), axis=1)
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, n - 1)]
+    x = grid[best]
+    width = b - a
+    iters = np.zeros(n_rows, dtype=np.intp)
+    # bisect only a bracket that holds a maximum: the slope falls through 0
+    bisect = (deu(a) > 0.0) & (deu(b) < 0.0)
+    active = bisect.copy()
+    while True:
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+        active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
+        if not active.any():
             break
-        fm = deu_pos(m, mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b), b - a
+        fm = deu(mid)
+        iters += active
+        # an exact zero moves both ends onto mid, closing the bracket; a
+        # nan moves the right end, so every step narrows the bracket
+        a = np.where(active & (fm >= 0.0), mid, a)
+        b = np.where(active & ~(fm > 0.0), mid, b)
+    x = np.where(bisect, 0.5 * (a + b), x)
+    width = np.where(bisect, b - a, width)
+
+    values = eu(np.column_stack([x, np.full(n_rows, -math.inf), np.full(n_rows, math.inf)]), slice(None))
+    value = values[:, 0]
+    boundary = np.zeros(n_rows, dtype=bool)
+    # an endpoint wins only by a strict margin: an infinite threshold is a
+    # null policy, so ties go to the finite one, then to the smaller one
+    for j, end in ((1, -math.inf), (2, math.inf)):
+        wins = values[:, j] > value
+        value = np.where(wins, values[:, j], value)
+        x = np.where(wins, end, x)
+        boundary |= wins
+    iters[boundary] = 0
+    width[boundary] = 0.0
+    return x, value, iters, width, boundary
 
 
 def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_HI, n: int = SEARCH_N) -> OptResult:
     """Global maximizer of the accuracy payoff over the extended reals.
 
-    Dense grid scan plus both infinite endpoints; the best finite
-    candidate is refined by golden-section and slope bisection.  Ties are
-    broken toward the finite candidate, then toward the smaller threshold
-    (an infinite threshold is a null policy; prefer an informative one).
+    Scans the n-point grid on [lo, hi], bisects the payoff slope on the
+    two cells around the grid argmax down to a bracket of BISECT_WIDTH
+    (so a finite optimum strictly inside the window has |deu_pos| ~1e-12
+    or less; the grid point stands when the slope shows no maximum
+    there), then compares with both infinite endpoints.  Ties are broken
+    toward the finite candidate, then toward the smaller threshold (an
+    infinite threshold is a null policy; prefer an informative one).
+    ``iterations`` counts slope bisections, and ``bracket_width`` is the
+    final bracket (the grid cells when no bisection ran).
     """
-    grid = _grid(lo, hi, n)
-    values = eu_pos(m, grid)
-    i = int(np.argmax(values))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n - 1)]
-    x, fx, iters, width = _golden_max(lambda t: eu_pos(m, t), a, b)
-    method = "grid_refine"
-    polished = _polish_stationary(m, x)
-    if polished is not None:
-        px, pwidth = polished
-        pv = eu_pos(m, px)
-        if pv >= fx:
-            x, fx, width = px, pv, pwidth
-    if fx < values[i]:
-        # refinement never genuinely loses to its own bracket; if float
-        # noise says otherwise, keep the grid point
-        x, fx, width = float(grid[i]), float(values[i]), width
-
-    eu_neg_inf = eu_pos(m, -math.inf)
-    eu_pos_inf = eu_pos(m, math.inf)
-    candidates = [
-        (fx, x, method, iters, width),
-        (eu_neg_inf, -math.inf, "boundary", 0, 0.0),
-        (eu_pos_inf, math.inf, "boundary", 0, 0.0),
-    ]
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] > best[0]:
-            best = cand
-    value, threshold, method, iters, width = best
+    x, value, iters, width, boundary = _refine(
+        lambda t, rows: eu_pos(m, t), lambda t: deu_pos(m, t), 1, lo, hi, n
+    )
     return OptResult(
-        threshold=float(threshold),
-        value=float(value),
-        method=method,
-        iterations=int(iters),
-        bracket_width=float(width),
+        threshold=float(x[0]),
+        value=float(value[0]),
+        method="boundary" if boundary[0] else "grid_refine",
+        iterations=int(iters[0]),
+        bracket_width=float(width[0]),
     )
 
 
-def equivalence_test(m: ModelConfig, tol: float) -> EquivalenceVerdict:
-    """Coincidence verdict: is the accuracy optimum at the compliance optimum?
+def accuracy_thresholds(
+    family: CostFamily,
+    samples,
+    pair: SignalPair,
+    reward: float,
+    lo: float = SEARCH_LO,
+    hi: float = SEARCH_HI,
+    n: int = SEARCH_N,
+) -> np.ndarray:
+    """Accuracy-optimal threshold of every family member, shape (n_samples,).
+
+    Element i is bit-identical to ``accuracy_optimal(ModelConfig(pair,
+    family.instantiate(samples[i]), reward), lo, hi, n).threshold``: the
+    same refiner runs on all rows at once, with the cost evaluated by
+    ``family.cdf_at``/``pdf_at``, which keep ``instantiate``'s guards.
+    """
+    if not pair.normalized:
+        raise ValueError("accuracy_thresholds requires a normalized signal pair")
+    if not math.isfinite(reward):
+        raise ValueError(f"reward must be finite, got {reward}")
+    xs = np.asarray(samples, dtype=float)
+
+    def eu(t, rows):
+        return _eu_pos(pair, reward, lambda u: family.cdf_at(u, xs[rows]), t)
+
+    def deu(t):
+        return _deu_pos(pair, reward, lambda u: family.cdf_at(u, xs), lambda u: family.pdf_at(u, xs), t)
+
+    return _refine(eu, deu, len(xs), lo, hi, n)[0]
+
+
+def equivalence_verdict(
+    m: ModelConfig, compliance: OptResult, accuracy: OptResult, tol: float
+) -> EquivalenceVerdict:
+    """The coincidence verdict from both optima, already computed for m.
 
     Equivalent iff the accuracy-optimal threshold is finite and within tol
-    of 0.  The payoff slope at 0 (a necessary condition for interior
-    coincidence) is reported as the diagnostic ``foc_gap``.
+    of the compliance optimum.  The payoff slope at 0 (a necessary
+    condition for interior coincidence) is reported as ``foc_gap``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be > 0")
     if m.reward == 0.0:
         raise ValueError("equivalence is ill-posed at reward 0 (prevalence never moves)")
-    compliance = compliance_optimal(m)
-    accuracy = accuracy_optimal(m)
     distance = abs(accuracy.threshold - compliance.threshold)
     equivalent = bool(math.isfinite(accuracy.threshold) and distance < tol)
     return EquivalenceVerdict(
@@ -220,3 +248,11 @@ def equivalence_test(m: ModelConfig, tol: float) -> EquivalenceVerdict:
         equivalent=equivalent,
         tolerance=float(tol),
     )
+
+
+def equivalence_test(m: ModelConfig, tol: float) -> EquivalenceVerdict:
+    """Coincidence verdict: is the accuracy optimum at the compliance optimum?
+
+    Computes both optima and passes them to ``equivalence_verdict``.
+    """
+    return equivalence_verdict(m, compliance_optimal(m), accuracy_optimal(m), tol)

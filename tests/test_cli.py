@@ -97,6 +97,20 @@ def test_optimize_json(model_config, capsys):
     assert payload["foc_gap"] == pytest.approx(-0.0795303, abs=1e-6)
 
 
+def test_optimize_computes_each_optimum_once(model_config, monkeypatch, capsys):
+    """The verdict reuses the optima the command already computed."""
+    import threshold_lab.cli as cli
+    import threshold_lab.optimize as optimize
+
+    calls = []
+    for module in (cli, optimize):
+        for name in ("accuracy_optimal", "compliance_optimal"):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda m, *a, _f=original, _n=name: calls.append(_n) or _f(m, *a))
+    assert main(["optimize", "--config", str(model_config)]) == 0
+    assert sorted(calls) == ["accuracy_optimal", "compliance_optimal"]
+
+
 def test_optimize_guardrail_exit_2(tmp_path, capsys):
     """auto_normalize=false lets a non-admissible pair with matched central
     densities through to the compliance guardrail, which must exit 2."""

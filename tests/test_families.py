@@ -24,6 +24,7 @@ from threshold_lab import (
     mixture_linear_family,
     normal,
 )
+from threshold_lab.distributions import PDF_FLOOR
 
 BOX1 = ParameterBox((-3.0,), (3.0,))
 
@@ -76,21 +77,40 @@ def test_degenerate_weights_guard():
         raw.instantiate([0.0])
 
 
-def test_cdf_at_guards():
+def _assert_batched_guards(method):
+    """cdf_at / pdf_at keep instantiate's guards as array checks."""
     fam = location_family(logistic(0, 1), BOX1)
     with pytest.raises(OutOfBoxError):
-        fam.cdf_at(0.0, [[0.0], [99.0]])
+        getattr(fam, method)(0.0, [[0.0], [99.0]])
     with pytest.raises(OutOfBoxError):
-        fam.cdf_at(0.0, np.zeros((3, 2)))  # (n, k + 1)
+        getattr(fam, method)(0.0, np.zeros((3, 2)))  # (n, k + 1)
     raw = CostFamily("mixture_linear", ParameterBox((0.0,), (0.5,)), basis=(normal(-1, 1), normal(1, 1)))
     with pytest.raises(DegenerateWeightsError):
-        raw.cdf_at(0.0, [[0.25], [0.0]])
+        getattr(raw, method)(0.0, [[0.25], [0.0]])
     # a raw location_scale box reaching a nonpositive scale fails like instantiate
     raw = CostFamily("location_scale", ParameterBox((-1.0, -1.0), (1.0, 1.0)), template=normal(0, 1))
     with pytest.raises(DistributionError):
         raw.instantiate([0.0, -0.5])
     with pytest.raises(DistributionError):
-        raw.cdf_at(0.0, [[0.0, 0.5], [0.0, -0.5]])
+        getattr(raw, method)(0.0, [[0.0, 0.5], [0.0, -0.5]])
+
+
+def test_cdf_at_guards():
+    _assert_batched_guards("cdf_at")
+
+
+def test_pdf_at_guards():
+    _assert_batched_guards("pdf_at")
+
+
+def test_pdf_at_keeps_floor():
+    """Deep in a tail the density underflows; pdf_at floors it at
+    PDF_FLOOR exactly as instantiate(x).pdf does."""
+    fam = mixture_linear_family((normal(-1, 0.5), gumbel(1, 0.5)), ParameterBox((0.2,), (0.8,)))
+    xs = np.array([[0.2], [0.5], [0.8]])
+    got = fam.pdf_at(-60.0, xs)
+    assert np.all(got == PDF_FLOOR)
+    assert [fam.instantiate(x).pdf(-60.0) for x in xs] == got.tolist()
 
 
 CDF_AT_FAMILIES = {
@@ -104,17 +124,43 @@ CDF_AT_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(CDF_AT_FAMILIES))
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), t=st.floats(-8.0, 8.0))
-def test_cdf_at_matches_instantiate(kind, data, t):
-    fam = CDF_AT_FAMILIES[kind]
+def _assert_matches_instantiate(fam, method, data):
+    """``<method>_at`` over a parameter matrix equals the scalar path bit
+    for bit, with t a scalar, one point per row, or points shared by every
+    row (a (1, m) array)."""
     row = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(fam.box.lower, fam.box.upper)))
     xs = np.array(data.draw(st.lists(row, min_size=1, max_size=20)))
-    got = fam.cdf_at(t, xs)
-    assert got.shape == (len(xs),)
+    n = len(xs)
+    point = st.floats(-8.0, 8.0)
+    shape = data.draw(st.sampled_from(["scalar", "per_row", "shared"]))
+    if shape == "scalar":
+        t = data.draw(point)
+        ts = np.full((n, 1), t)
+    elif shape == "per_row":
+        t = np.array(data.draw(st.lists(point, min_size=n, max_size=n)))
+        ts = t[:, None]
+    else:
+        t = np.array([data.draw(st.lists(point, min_size=1, max_size=5))])
+        ts = np.repeat(t, n, axis=0)
+    got = getattr(fam, f"{method}_at")(t, xs)
+    assert got.shape == (ts.shape if shape == "shared" else (n,))
+    got = got.reshape(n, -1)
     for i, x in enumerate(xs):
-        assert got[i] == fam.instantiate(x).cdf(t)
+        assert got[i].tolist() == getattr(fam.instantiate(x), method)(ts[i]).tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(CDF_AT_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cdf_at_matches_instantiate(kind, data):
+    _assert_matches_instantiate(CDF_AT_FAMILIES[kind], "cdf", data)
+
+
+@pytest.mark.parametrize("kind", sorted(CDF_AT_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pdf_at_matches_instantiate(kind, data):
+    _assert_matches_instantiate(CDF_AT_FAMILIES[kind], "pdf", data)
 
 
 def test_box_dimension_must_match_kind():

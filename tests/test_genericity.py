@@ -14,6 +14,7 @@ from threshold_lab import (
     ModelConfig,
     ParameterBox,
     SweepSpec,
+    accuracy_optimal,
     certify,
     coincidence_fraction,
     fit_loglog_slope,
@@ -121,25 +122,44 @@ def test_reproducibility_bit_identical(std_pair, logistic_location):
     assert np.array_equal(a.samples, b.samples)
 
 
+TEMPLATES = (normal(0.3, 1.5), logistic(0, 1), gumbel(0, 1.1),
+             mixture([(0.5, normal(-0.5, 1.0)), (0.5, logistic(0.5, 1.0))]))
+
+
+def families_of(template):
+    """One family of each kind built on the template."""
+    return (
+        location_family(template, ParameterBox((-3.0,), (3.0,))),
+        location_scale_family(template, ParameterBox((-3.0, 0.5), (3.0, 2.0))),
+        mixture_linear_family((normal(-2, 0.8), normal(2, 0.8), template),
+                              ParameterBox((0.1, 0.1), (0.45, 0.45))),
+    )
+
+
 def test_batched_equals_scalar(std_pair, suite_pairs):
     """The batched foc_gap kernel equals foc_at_zero on each instantiated
     member exactly, for every family kind, template kind and reward."""
     pairs = [std_pair] + [next(p for name, p in suite_pairs if name.startswith(kind))
                           for kind in ("gumbel", "mixture")]
-    templates = (normal(0.3, 1.5), logistic(0, 1), gumbel(0, 1.1),
-                 mixture([(0.5, normal(-0.5, 1.0)), (0.5, logistic(0.5, 1.0))]))
     cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True, evidence={})
-    for template in templates:
-        families = (
-            location_family(template, ParameterBox((-3.0,), (3.0,))),
-            location_scale_family(template, ParameterBox((-3.0, 0.5), (3.0, 2.0))),
-            mixture_linear_family((normal(-2, 0.8), normal(2, 0.8), template),
-                                  ParameterBox((0.1, 0.1), (0.45, 0.45))),
-        )
-        for fam, pair, r in itertools.product(families, pairs, (0.5, 1.0, 2.0)):
+    for template in TEMPLATES:
+        for fam, pair, r in itertools.product(families_of(template), pairs, (0.5, 1.0, 2.0)):
             res = coincidence_fraction(make_spec(fam, pair, reward=r, n_samples=100, seed=5), cert)
             scalar = [foc_at_zero(ModelConfig(pair, fam.instantiate(x), r)) for x in res.samples]
             assert np.array_equal(res.foc_gaps, scalar), (fam.kind, template.kind, r)
+
+
+def test_batched_accuracy_equals_scalar(std_pair):
+    """threshold_distance mode runs the optimizer on all samples at once;
+    each threshold equals accuracy_optimal on the instantiated member
+    exactly, for every family kind, template kind and reward."""
+    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True, evidence={})
+    for template in TEMPLATES:
+        for fam, r in itertools.product(families_of(template), (0.5, 1.0, 2.0)):
+            spec = make_spec(fam, std_pair, reward=r, n_samples=12, seed=5, mode="threshold_distance")
+            res = coincidence_fraction(spec, cert)
+            scalar = [accuracy_optimal(ModelConfig(std_pair, fam.instantiate(x), r)).threshold for x in res.samples]
+            assert np.array_equal(res.accuracy_thresholds, scalar), (fam.kind, template.kind, r)
 
 
 def test_mode_consistency(std_pair, logistic_location):
@@ -152,11 +172,11 @@ def test_mode_consistency(std_pair, logistic_location):
     fam, cert = logistic_location
     tau = 0.05
     td = coincidence_fraction(
-        make_spec(fam, std_pair, n_samples=400, seed=21, mode="threshold_distance", tolerances=(tau,)),
+        make_spec(fam, std_pair, n_samples=10000, seed=21, mode="threshold_distance", tolerances=(tau,)),
         cert,
     )
     fg = coincidence_fraction(
-        make_spec(fam, std_pair, n_samples=400, seed=21, tolerances=(tau,)), cert
+        make_spec(fam, std_pair, n_samples=10000, seed=21, tolerances=(tau,)), cert
     )
     flagged_td = td.metrics < tau
     flagged_fg = fg.metrics < tau
@@ -200,6 +220,36 @@ def test_scaling_report_verdict_and_bootstrap(std_pair, logistic_location):
     assert report.smallest_fraction < 0.01
     again = scaling_report(res)
     assert (report.slope_lo, report.slope_hi) == (again.slope_lo, again.slope_hi)
+
+
+def looped_bootstrap_band(result, n_resamples=200):
+    """Reference: the per-tolerance np.mean loop the bootstrap replaced."""
+    rng = np.random.default_rng((result.seed, 48879))
+    n = result.n_samples
+    slopes = []
+    for _ in range(n_resamples):
+        take = result.metrics[rng.integers(0, n, n)]
+        fracs = tuple(float(np.mean(take < tol)) for tol in result.tolerances)
+        slope, degenerate = fit_loglog_slope(result.tolerances, fracs)
+        if not degenerate:
+            slopes.append(slope)
+    if not slopes:
+        return math.nan, math.nan
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("n", [1, 7, 333, 2000, 4001])
+@pytest.mark.parametrize("seed", [3, 20250810])
+def test_bootstrap_counts_match_mean_loop(std_pair, logistic_location, n, seed):
+    fam, cert = logistic_location
+    spec = make_spec(fam, std_pair, n_samples=n, seed=seed, tolerances=(0.3, 0.1, 0.01, 0.001))
+    res = coincidence_fraction(spec, cert)
+    # an infinite metric (an infinite accuracy optimum) is below no tolerance
+    res = dataclasses.replace(res, metrics=np.where(np.arange(n) % 5 == 4, math.inf, res.metrics))
+    report = scaling_report(res)
+    want = looped_bootstrap_band(res)
+    np.testing.assert_array_equal((report.slope_lo, report.slope_hi), want)
 
 
 def test_two_parameter_family_slope(std_pair):

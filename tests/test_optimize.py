@@ -4,22 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DELTA0, FOC0
 from threshold_lab import (
     ModelConfig,
+    ParameterBox,
     SignalPair,
     VerificationFailedError,
     accuracy_optimal,
     compliance_optimal,
     deu_pos,
     equivalence_test,
+    equivalence_verdict,
     eu_pos,
+    gumbel,
+    location_family,
     logistic,
     mixture,
     normal,
     prevalence_pos,
 )
+from threshold_lab.optimize import SEARCH_HI, SEARCH_LO
 
 INF = float("inf")
 
@@ -149,3 +156,38 @@ def test_accuracy_infinite_endpoints_valued(std_pair):
 def test_optresult_value_recomputes(std_model):
     res = accuracy_optimal(std_model)
     assert res.value == pytest.approx(eu_pos(std_model, res.threshold), abs=1e-12)
+
+
+def test_equivalence_verdict_from_computed_optima(std_pair):
+    """The verdict built from optima in hand equals equivalence_test's."""
+    for mu in (0.0, DELTA0, 0.7):
+        m = ModelConfig(pair=std_pair, cost=logistic(mu, 1.0), reward=1.0)
+        got = equivalence_verdict(m, compliance_optimal(m), accuracy_optimal(m), 1e-6)
+        assert got == equivalence_test(m, 1e-6)
+    with pytest.raises(ValueError):
+        equivalence_verdict(m, compliance_optimal(m), accuracy_optimal(m), 0.0)
+
+
+LOCATION_TEMPLATES = {
+    "normal": normal,
+    "logistic": logistic,
+    "gumbel": gumbel,
+    "mixture": lambda loc, scale: mixture([(0.4, normal(loc - 1.0, scale)), (0.6, logistic(loc + 0.5, scale))]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LOCATION_TEMPLATES)),
+    scale=st.floats(0.3, 3.0),
+    x=st.floats(-3.0, 3.0),
+    reward=st.floats(0.25, 3.0),
+)
+def test_interior_optimum_is_stationary(std_pair, kind, scale, x, reward):
+    """The docstring's claim: a finite optimum strictly inside the search
+    window is a zero of the payoff slope to ~1e-12, so |deu_pos| <= 1e-9."""
+    fam = location_family(LOCATION_TEMPLATES[kind](0.0, scale), ParameterBox((-3.0,), (3.0,)))
+    m = ModelConfig(pair=std_pair, cost=fam.instantiate([x]), reward=reward)
+    res = accuracy_optimal(m)
+    if math.isfinite(res.threshold) and SEARCH_LO < res.threshold < SEARCH_HI:
+        assert abs(deu_pos(m, res.threshold)) <= 1e-9, res
