@@ -12,6 +12,7 @@ from threshold_lab import (
     check_mlrp,
     find_crossing,
     gumbel,
+    logistic,
     normal,
     normalize_pair,
 )
@@ -26,11 +27,14 @@ pair = normalize_pair(normal(0, 1), normal(2, 1))
 print(f"normalized: g0 = normal{pair.g0.params}, g1 = normal{pair.g1.params}, "
       f"recorded shift = {pair.shift:.6f}")
 print(f"signal gap cdf0-cdf1 at 0: {pair.gap(0.0):.6f} (its maximum)")
+far = normalize_pair(normal(100, 1), normal(102, 1))
+print(f"the same pair moved by 100: g0 = normal{far.g0.params}, shift = {far.shift:.6f} "
+      "(the scan window follows the pair)")
 
 print("\n--- pairs that fail the gate ---")
 for label, g0, g1 in [
     ("equal-mean unequal-variance normals", normal(0, 1), normal(0, 2)),
-    ("identical logistics", normal(0, 1), normal(0, 1)),
+    ("identical logistics", logistic(0, 1), logistic(0, 1)),
 ]:
     try:
         normalize_pair(g0, g1)

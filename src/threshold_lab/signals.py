@@ -3,10 +3,19 @@
 A pair of full-support signal distributions ``(g0, g1)`` drives the whole
 model: ``g0`` is the signal law under non-compliance, ``g1`` under
 compliance.  The pair is *admissible* when the likelihood ratio
-``pdf1/pdf0`` is strictly increasing (checked numerically on a fixed scan
-grid) and the two densities cross exactly once.  Admissible pairs are
-normalized by translating both distributions so the density crossing sits
-at ``t = 0``; downstream formulas assume this.
+``pdf1/pdf0`` is strictly increasing and the two densities cross exactly
+once.  Admissible pairs are normalized by translating both distributions so
+the density crossing sits at ``t = 0``; downstream formulas assume this.
+
+All of it is checked numerically by one scan (``check_mlrp``) on a grid
+whose window follows the pair: ``MLRP_GRID_N`` points on
+``c + [MLRP_GRID_LO, MLRP_GRID_HI]``, where ``c`` is the midpoint of the
+two location parameters (weight-averaged over components for a mixture).
+The model is translation invariant, and so is the scan: moving both
+distributions by ``c`` moves the window, and the crossing, by ``c``.  One
+pass yields the log-ratio increments, the density-difference sign changes
+and at most one bisection; ``find_crossing``, ``normalize_pair`` and
+``check_admissible`` read its report.
 
 The monotone-ratio check runs on ``log_pdf`` differences: analytic
 log-densities stay finite deep in the tails where the densities themselves
@@ -15,12 +24,11 @@ underflow, so the strictness test is not poisoned by the 1e-300 pdf floor.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import ScalarDistribution, derivative_consistency, CDF_PDF_TOL, PDF_PRIME_TOL
+from .distributions import PDF_FLOOR, ScalarDistribution, derivative_consistency, CDF_PDF_TOL, PDF_PRIME_TOL
 from .errors import AdmissibilityError, NoCrossingError
 
 __all__ = [
@@ -38,8 +46,9 @@ __all__ = [
     "check_admissible",
 ]
 
-# scan grid: wide enough to exercise both tails of every catalog member,
-# fine enough (step 0.012) to localize density crossings for bisection
+# scan window, as offsets from the pair's centre: wide enough to exercise
+# both tails of every catalog member, fine enough (step 0.012) to localize
+# density crossings for bisection
 MLRP_GRID_LO = -12.0
 MLRP_GRID_HI = 12.0
 MLRP_GRID_N = 2001
@@ -55,16 +64,31 @@ NORMALIZED_DENSITY_TOL = 1e-9
 _BISECT_WIDTH = 1e-12
 
 
-def _scan_grid() -> np.ndarray:
-    return np.linspace(MLRP_GRID_LO, MLRP_GRID_HI, MLRP_GRID_N)
+def _location(d: ScalarDistribution) -> float:
+    """Location parameter; the weight-averaged locations of a mixture."""
+    if d.kind == "mixture":
+        return sum(w * _location(comp) for w, comp in d.components)
+    return d.params[0]
+
+
+def _window_centre(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
+    return 0.5 * (_location(g0) + _location(g1))
+
+
+def _scan_grid(g0: ScalarDistribution, g1: ScalarDistribution) -> np.ndarray:
+    return _window_centre(g0, g1) + np.linspace(MLRP_GRID_LO, MLRP_GRID_HI, MLRP_GRID_N)
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Verdict and evidence from the numeric admissibility scan.
 
-    ``smooth_ok``/``support_ok`` are populated by ``check_admissible``
-    (the composite gate) and are None when only the ratio scan ran.
+    ``grid`` is the scan window ``(lo, hi, n)``.  ``crossing_location``
+    is None unless the crossing is unique and located above the pdf
+    floor.  ``support_ok`` (both log-densities finite over the window)
+    comes from the scan; ``smooth_ok`` is populated by
+    ``check_admissible`` (the composite gate) and is None when only the
+    scan ran.
     """
 
     mlrp_ok: bool
@@ -80,6 +104,7 @@ class AdmissibilityReport:
         return (
             self.mlrp_ok
             and self.crossing_count == 1
+            and self.crossing_location is not None
             and bool(self.smooth_ok)
             and bool(self.support_ok)
         )
@@ -100,11 +125,11 @@ class SignalPair:
 
     def __post_init__(self):
         if self.normalized:
-            gap = abs(self.g0.pdf(0.0) - self.g1.pdf(0.0))
-            if gap > NORMALIZED_DENSITY_TOL:
+            p0, p1 = self.g0.pdf(0.0), self.g1.pdf(0.0)
+            if abs(p0 - p1) > NORMALIZED_DENSITY_TOL or min(p0, p1) <= PDF_FLOOR:
                 raise AdmissibilityError(
-                    f"pair marked normalized but |pdf0(0) - pdf1(0)| = {gap:.3e} "
-                    f"> {NORMALIZED_DENSITY_TOL}"
+                    f"pair marked normalized but pdf0(0) = {p0:.3e}, pdf1(0) = {p1:.3e}; "
+                    f"they must agree within {NORMALIZED_DENSITY_TOL} above the pdf floor"
                 )
 
     def gap(self, t):
@@ -126,22 +151,18 @@ class SignalPair:
 def _crossing_brackets(diff: np.ndarray, grid: np.ndarray):
     """Sign changes of ``diff`` on the grid, exact zeros included.
 
-    Returns a list of items: a float (grid point where diff == 0 between
-    opposite signs) or an ``(a, b)`` bracket with a strict sign flip.
+    Returns a list of items: a float (the first grid point of a run of
+    exact zeros between opposite signs; the whole run is one crossing) or
+    an ``(a, b)`` bracket of adjacent grid points with a strict sign flip.
+    Zero points come first, then brackets, each in grid order.
     """
-    sign = np.sign(diff)
-    nonzero = np.nonzero(sign)[0]
-    found = []
-    for i in np.nonzero(sign == 0)[0]:
-        left = sign[:i][sign[:i] != 0]
-        right = sign[i + 1 :][sign[i + 1 :] != 0]
-        if left.size and right.size and left[-1] != right[0]:
-            found.append(float(grid[i]))
-    for j in range(nonzero.size - 1):
-        a, b = nonzero[j], nonzero[j + 1]
-        if sign[a] != sign[b] and b == a + 1:
-            found.append((float(grid[a]), float(grid[b])))
-    return found
+    nonzero = np.flatnonzero(diff)
+    sign = np.sign(diff[nonzero])
+    flips = np.flatnonzero(sign[:-1] != sign[1:])
+    left, right = nonzero[flips], nonzero[flips + 1]
+    adjacent = right == left + 1
+    zeros = [float(grid[i + 1]) for i in left[~adjacent]]
+    return zeros + [(float(grid[a]), float(grid[b])) for a, b in zip(left[adjacent], right[adjacent])]
 
 
 def _bisect(f, a: float, b: float, width: float = _BISECT_WIDTH) -> float:
@@ -167,16 +188,22 @@ def _bisect(f, a: float, b: float, width: float = _BISECT_WIDTH) -> float:
 
 
 def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
-    """Scan the log likelihood ratio for strict monotonicity.
+    """The admissibility scan: one pass over the pair's centred window.
 
     The ratio is strictly increasing iff every consecutive increment of
     ``log_pdf1 - log_pdf0`` on the grid exceeds MLRP_STRICT_TOL.  The
-    report also carries the density-crossing count and, when unique, the
-    bisection-refined crossing location.
+    report also carries the density-crossing count, the bisection-refined
+    crossing location when it is unique, the window as ``(lo, hi, n)``,
+    and ``support_ok``: both log-densities finite over the whole window.
+
+    A crossing where either density sits on PDF_FLOOR is left unlocated
+    (``crossing_location`` None): there the floor, not the densities,
+    made ``pdf0 - pdf1`` vanish, e.g. the run of exact zeros between two
+    well-separated signals.
     """
-    grid = _scan_grid()
-    log_ratio = g1.log_pdf(grid) - g0.log_pdf(grid)
-    increments = np.diff(log_ratio)
+    grid = _scan_grid(g0, g1)
+    log0, log1 = g0.log_pdf(grid), g1.log_pdf(grid)
+    increments = np.diff(log1 - log0)
     step = grid[1] - grid[0]
     mlrp_ok = bool(np.all(increments > MLRP_STRICT_TOL))
     min_slope = float(np.min(increments) / step)
@@ -187,43 +214,34 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     if len(brackets) == 1:
         item = brackets[0]
         if isinstance(item, tuple):
-            location = _bisect(lambda t: g0.pdf(t) - g1.pdf(t), *item)
-        else:
+            item = _bisect(lambda t: g0.pdf(t) - g1.pdf(t), *item)
+        if min(g0.pdf(item), g1.pdf(item)) > PDF_FLOOR:
             location = item
     return AdmissibilityReport(
         mlrp_ok=mlrp_ok,
         crossing_count=len(brackets),
         crossing_location=location,
         min_ratio_slope=min_slope,
-        grid=(MLRP_GRID_LO, MLRP_GRID_HI, MLRP_GRID_N),
+        grid=(float(grid[0]), float(grid[-1]), MLRP_GRID_N),
+        support_ok=bool(np.all(np.isfinite(log0)) and np.all(np.isfinite(log1))),
     )
 
 
-def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
-    """Locate t* with pdf0(t*) == pdf1(t*) by grid bracketing + bisection.
-
-    Raises NoCrossingError when the density difference never changes sign
-    on the scan grid (non-admissible pair, or a crossing beyond the grid),
-    and AdmissibilityError when it changes sign more than once.
-    """
-    grid = _scan_grid()
-    diff = g0.pdf(grid) - g1.pdf(grid)
-    brackets = _crossing_brackets(diff, grid)
-    if not brackets:
-        raise NoCrossingError(
-            "density difference has no sign change on "
-            f"[{MLRP_GRID_LO}, {MLRP_GRID_HI}]"
-        )
-    if len(brackets) > 1:
+def _unique_crossing(g0: ScalarDistribution, g1: ScalarDistribution, report: AdmissibilityReport) -> float:
+    """The report's crossing, once it is unique and matches the densities."""
+    lo, hi, _ = report.grid
+    if report.crossing_count == 0:
+        raise NoCrossingError(f"density difference has no sign change on [{lo}, {hi}]")
+    if report.crossing_count > 1:
         raise AdmissibilityError(
-            f"density difference changes sign {len(brackets)} times; "
+            f"density difference changes sign {report.crossing_count} times; "
             "normalization needs a unique crossing"
         )
-    item = brackets[0]
-    if isinstance(item, tuple):
-        t_star = _bisect(lambda t: g0.pdf(t) - g1.pdf(t), *item)
-    else:
-        t_star = item
+    if report.crossing_location is None:
+        raise AdmissibilityError(
+            f"the densities cross on the pdf floor {PDF_FLOOR:g}; crossing unresolved"
+        )
+    t_star = report.crossing_location
     mismatch = abs(g0.pdf(t_star) - g1.pdf(t_star))
     if mismatch > CROSSING_MATCH_TOL:
         raise AdmissibilityError(
@@ -232,13 +250,25 @@ def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
     return t_star
 
 
+def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
+    """Locate t* with pdf0(t*) == pdf1(t*) from the admissibility scan.
+
+    Raises NoCrossingError when the density difference never changes sign
+    in the scan window (non-admissible pair, or a crossing beyond the
+    window), and AdmissibilityError when it changes sign more than once,
+    only on the pdf floor, or the refined crossing misses
+    CROSSING_MATCH_TOL.
+    """
+    return _unique_crossing(g0, g1, check_mlrp(g0, g1))
+
+
 def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair:
     """Translate both distributions so the density crossing sits at 0.
 
-    Requires the monotone-ratio check to pass; the check is re-run on the
-    translated pair (translation invariance, cheap insurance against a
-    broken transform).  Idempotent: normalizing a normalized pair records
-    shift 0.
+    Requires the monotone-ratio check to pass and takes the crossing from
+    the same scan; the check is re-run on the translated pair (translation
+    invariance, cheap insurance against a broken transform).  Idempotent:
+    normalizing a normalized pair records shift 0.
     """
     report = check_mlrp(g0, g1)
     if not report.mlrp_ok:
@@ -246,7 +276,7 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
             "likelihood ratio is not strictly increasing "
             f"(min slope {report.min_ratio_slope:.3e}); cannot normalize"
         )
-    t_star = find_crossing(g0, g1)
+    t_star = _unique_crossing(g0, g1, report)
     g0n, g1n = g0.shifted(-t_star), g1.shifted(-t_star)
     recheck = check_mlrp(g0n, g1n)
     if not recheck.mlrp_ok:
@@ -258,23 +288,12 @@ def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> Admissib
     """Composite gate: smoothness + full support + monotone ratio + unique crossing.
 
     Smoothness is the finite-difference self-consistency of each
-    distribution at fixed probe points; support is strict pdf positivity
-    across the scan range (guaranteed by the pdf floor, probed anyway).
+    distribution at 17 probe points on the window centre +- 8; support
+    and the rest come from the admissibility scan.
     """
-    probes = np.linspace(-8.0, 8.0, 17)
+    probes = _window_centre(g0, g1) + np.linspace(-8.0, 8.0, 17)
     smooth_ok = True
     for d in (g0, g1):
         cdf_err, pdf_err = derivative_consistency(d, probes)
         smooth_ok = smooth_ok and cdf_err < CDF_PDF_TOL and pdf_err < PDF_PRIME_TOL
-    wide = np.array([MLRP_GRID_LO, -40.0, 0.0, 40.0, MLRP_GRID_HI])
-    support_ok = bool(np.all(g0.pdf(wide) > 0.0) and np.all(g1.pdf(wide) > 0.0))
-    scan = check_mlrp(g0, g1)
-    return AdmissibilityReport(
-        mlrp_ok=scan.mlrp_ok,
-        crossing_count=scan.crossing_count,
-        crossing_location=scan.crossing_location,
-        min_ratio_slope=scan.min_ratio_slope,
-        grid=scan.grid,
-        smooth_ok=smooth_ok,
-        support_ok=support_ok,
-    )
+    return replace(check_mlrp(g0, g1), smooth_ok=smooth_ok)

@@ -75,6 +75,32 @@ def test_check_reports_admissibility(model_config, capsys):
     assert payload["signal_pair"]["crossing_count"] == 1
 
 
+GUMBEL_PAIR = {
+    "g0": {"kind": "gumbel", "params": [0, 0.75]},
+    "g1": {"kind": "gumbel", "params": [0.5, 0.75]},
+}
+
+
+@pytest.mark.parametrize("signal_pair", [MODEL_CONFIG["signal_pair"], GUMBEL_PAIR], ids=["normal", "gumbel"])
+def test_translated_signals_match(tmp_path, capsys, signal_pair):
+    """Both signals moved by +100: the same verdicts, crossing and shift moved by 100."""
+    moved = {k: {**d, "params": [d["params"][0] + 100, d["params"][1]]} for k, d in signal_pair.items()}
+    runs = {}
+    for label, pair in (("base", signal_pair), ("moved", moved)):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({**MODEL_CONFIG, "signal_pair": pair}))
+        for command in ("check", "optimize"):
+            assert main([command, "--config", str(path)]) == 0
+            runs[label, command] = json.loads(capsys.readouterr().out)
+    base, moved = runs["base", "check"]["signal_pair"], runs["moved", "check"]["signal_pair"]
+    assert base["admissible"] is True and moved["admissible"] is True
+    assert moved["crossing_location"] == pytest.approx(base["crossing_location"] + 100, abs=1e-9)
+    base, moved = runs["base", "optimize"], runs["moved", "optimize"]
+    assert moved["normalization_shift"] == pytest.approx(base["normalization_shift"] + 100, abs=1e-9)
+    assert moved["equivalent"] == base["equivalent"]
+    assert moved["foc_gap"] == pytest.approx(base["foc_gap"], abs=1e-9)
+
+
 def test_equilibrium_csv_shape(model_config, capsys):
     assert main(["equilibrium", "--config", str(model_config), "--grid", "-5:5:101"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     AdmissibilityError,
@@ -16,6 +18,7 @@ from threshold_lab import (
     normal,
     normalize_pair,
 )
+from threshold_lab.signals import _crossing_brackets, _scan_grid
 from conftest import suite_pair_specs
 
 FINITE_GRID = np.linspace(-8.0, 8.0, 321)
@@ -121,6 +124,9 @@ def test_gap_infinite_endpoints():
 def test_signalpair_validates_normalized_flag():
     with pytest.raises(AdmissibilityError):
         SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0, normalized=True)
+    # densities that agree at 0 only because both sit on the pdf floor
+    with pytest.raises(AdmissibilityError, match="pdf floor"):
+        SignalPair(g0=normal(-40, 1), g1=normal(40, 1), shift=0.0, normalized=True)
     # a raw, un-normalized container is allowed when flagged as such
     raw = SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0, normalized=False)
     assert not raw.normalized
@@ -129,3 +135,97 @@ def test_signalpair_validates_normalized_flag():
 def test_mlrp_grid_shape_in_report():
     report = check_mlrp(normal(-1, 1), normal(1, 1))
     assert report.grid == (-12.0, 12.0, 2001)
+    # the window is centred between the two locations
+    assert check_mlrp(normal(99, 1), normal(101, 1)).grid == (88.0, 112.0, 2001)
+
+
+def test_normalize_translated_examples():
+    """Pairs far outside [-12, 12] normalize like their translates at 0."""
+    pair = normalize_pair(normal(100, 1), normal(102, 1))
+    assert pair.shift == pytest.approx(101.0, abs=1e-9)
+    assert pair.g0.params == pytest.approx((-1.0, 1.0), abs=1e-9)
+    pair = normalize_pair(normal(-20, 1), normal(-18, 1))
+    assert pair.shift == pytest.approx(-19.0, abs=1e-9)
+    assert pair.g1.params == pytest.approx((1.0, 1.0), abs=1e-9)
+
+
+def _flat_params(d):
+    """Location, scale and weights of a distribution, components flattened."""
+    if d.kind == "mixture":
+        return [x for w, comp in d.components for x in (w, *_flat_params(comp))]
+    return list(d.params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(suite_pair_specs()) - 1), c=st.floats(-200.0, 200.0))
+def test_translation_invariance(index, c):
+    """Moving both signals by c moves the shift by c and nothing else."""
+    _, g0, g1 = suite_pair_specs()[index]
+    h0, h1 = g0.shifted(c), g1.shifted(c)
+    base, moved = normalize_pair(g0, g1), normalize_pair(h0, h1)
+    assert abs(moved.shift - (base.shift + c)) <= 1e-9 * (1.0 + abs(c))
+    for d, e in ((base.g0, moved.g0), (base.g1, moved.g1)):
+        np.testing.assert_allclose(_flat_params(e), _flat_params(d), rtol=0.0, atol=1e-9)
+    before, after = check_admissible(g0, g1), check_admissible(h0, h1)
+    assert after.admissible == before.admissible
+    assert after.crossing_count == before.crossing_count
+
+
+def _looped_brackets(diff, grid):
+    """The per-grid-point loop that ``_crossing_brackets`` replaced."""
+    sign = np.sign(diff)
+    nonzero = np.nonzero(sign)[0]
+    found = []
+    for i in np.nonzero(sign == 0)[0]:
+        left = sign[:i][sign[:i] != 0]
+        right = sign[i + 1 :][sign[i + 1 :] != 0]
+        if left.size and right.size and left[-1] != right[0]:
+            found.append(float(grid[i]))
+    for j in range(nonzero.size - 1):
+        a, b = nonzero[j], nonzero[j + 1]
+        if sign[a] != sign[b] and b == a + 1:
+            found.append((float(grid[a]), float(grid[b])))
+    return found
+
+
+def test_crossing_brackets_match_loop():
+    for name, g0, g1 in suite_pair_specs():
+        grid = _scan_grid(g0, g1)
+        diff = g0.pdf(grid) - g1.pdf(grid)
+        assert _crossing_brackets(diff, grid) == _looped_brackets(diff, grid), name
+    grid = np.arange(8.0)
+    for diff in ([1, 0, -1, -1, 0, 2, 2, 3], [0, 0, 1, -1, 1, 0, 1, 0], [1, 0, 0, 1, -1, 0, -1, 0],
+                 [-1] * 8, [0] * 8, [1, -1, 0, 1, 0, -1, -1, 1]):
+        diff = np.array(diff, dtype=float)
+        assert _crossing_brackets(diff, grid) == _looped_brackets(diff, grid), diff
+    # a run of exact zeros between opposite signs is one crossing, at its first zero
+    zero_run = np.array([2.0, 1.0, 0.0, 0.0, 0.0, -1.0, -2.0, -3.0])
+    assert _crossing_brackets(zero_run, grid) == [2.0]
+    assert len(_looped_brackets(zero_run, grid)) == 3
+
+
+def test_support_needs_finite_log_density():
+    """A gumbel left tail whose log-density overflows inside the window."""
+    report = check_admissible(gumbel(0, 0.01), gumbel(0.005, 0.01))
+    assert report.support_ok is False
+    assert not report.admissible
+    assert check_admissible(normal(100, 1), normal(102, 1)).support_ok
+
+
+@pytest.mark.parametrize(
+    "g0, g1",
+    [(normal(0, 1), normal(80, 1)), (normal(0, 0.1), normal(10, 0.1)), (normal(0, 0.1), normal(7.45, 0.1))],
+    ids=["zero-run", "zero-run-narrow", "one-floored-point"],
+)
+def test_crossing_on_pdf_floor_is_unresolved(g0, g1):
+    """Between well-separated signals both densities sit on the 1e-300 floor,
+    so pdf0 - pdf1 is exactly 0 there without a crossing; the scan must not
+    take that for one (the true crossing of the first pair is at 40)."""
+    report = check_admissible(g0, g1)
+    assert report.crossing_count == 1
+    assert report.crossing_location is None
+    assert not report.admissible
+    with pytest.raises(AdmissibilityError, match="pdf floor"):
+        normalize_pair(g0, g1)
+    with pytest.raises(AdmissibilityError, match="pdf floor"):
+        find_crossing(g0, g1)
