@@ -238,7 +238,9 @@ class ScalarDistribution:
             return -z * dens / self.params[1]
         if self.kind == "logistic":
             return -np.tanh(z / 2.0) * dens / self.params[1]
-        with np.errstate(over="ignore", under="ignore"):
+        # far left of a gumbel, expm1(-z) overflows where the density
+        # underflows to 0; inf * 0 is nan there, as expected
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             return np.where(np.isfinite(z), np.expm1(-z), 0.0) * dens / self.params[1]
 
     # -- transforms ------------------------------------------------------

@@ -187,6 +187,15 @@ def _bisect(f, a: float, b: float, width: float = _BISECT_WIDTH) -> float:
     return 0.5 * (a + b)
 
 
+def _ratio_scan(g0: ScalarDistribution, g1: ScalarDistribution, grid: np.ndarray):
+    """``(mlrp_ok, increments)``: the increments of ``log_pdf1 - log_pdf0``
+    on the grid, and whether each exceeds MLRP_STRICT_TOL."""
+    # -inf - -inf is nan where both log-densities overflow; that fails the check
+    with np.errstate(invalid="ignore"):
+        increments = np.diff(g1.log_pdf(grid) - g0.log_pdf(grid))
+    return bool(np.all(increments > MLRP_STRICT_TOL)), increments
+
+
 def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
     """The admissibility scan: one pass over the pair's centred window.
 
@@ -202,11 +211,8 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     well-separated signals.
     """
     grid = _scan_grid(g0, g1)
-    log0, log1 = g0.log_pdf(grid), g1.log_pdf(grid)
-    increments = np.diff(log1 - log0)
-    step = grid[1] - grid[0]
-    mlrp_ok = bool(np.all(increments > MLRP_STRICT_TOL))
-    min_slope = float(np.min(increments) / step)
+    mlrp_ok, increments = _ratio_scan(g0, g1, grid)
+    min_slope = float(np.min(increments) / (grid[1] - grid[0]))
 
     diff = g0.pdf(grid) - g1.pdf(grid)
     brackets = _crossing_brackets(diff, grid)
@@ -223,7 +229,8 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
         crossing_location=location,
         min_ratio_slope=min_slope,
         grid=(float(grid[0]), float(grid[-1]), MLRP_GRID_N),
-        support_ok=bool(np.all(np.isfinite(log0)) and np.all(np.isfinite(log1))),
+        # a non-finite log-density makes both increments next to it non-finite
+        support_ok=bool(np.all(np.isfinite(increments))),
     )
 
 
@@ -266,9 +273,10 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
     """Translate both distributions so the density crossing sits at 0.
 
     Requires the monotone-ratio check to pass and takes the crossing from
-    the same scan; the check is re-run on the translated pair (translation
-    invariance, cheap insurance against a broken transform).  Idempotent:
-    normalizing a normalized pair records shift 0.
+    the same scan; the monotone-ratio check alone, not the whole scan, is
+    re-run on the translated pair (translation invariance, cheap insurance
+    against a broken transform).  Idempotent: normalizing a normalized
+    pair records shift 0.
     """
     report = check_mlrp(g0, g1)
     if not report.mlrp_ok:
@@ -278,8 +286,7 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
         )
     t_star = _unique_crossing(g0, g1, report)
     g0n, g1n = g0.shifted(-t_star), g1.shifted(-t_star)
-    recheck = check_mlrp(g0n, g1n)
-    if not recheck.mlrp_ok:
+    if not _ratio_scan(g0n, g1n, _scan_grid(g0n, g1n))[0]:
         raise AdmissibilityError("monotone ratio lost under translation; numeric fault")
     return SignalPair(g0=g0n, g1=g1n, shift=t_star, normalized=True)
 

@@ -90,6 +90,21 @@ def test_family_config_dimension_mismatch():
         load_config_dict(raw)
 
 
+def test_family_config_member_fails_at_box_corner():
+    """A member that cannot be built (here its location overflows to inf)
+    is refused when the config loads, not later inside certify."""
+    raw = {
+        "signal_pair": MINIMAL["signal_pair"],
+        "cost_family": {
+            "kind": "location",
+            "template": {"kind": "normal", "params": [1e308, 1]},
+            "box": {"lower": [1e308], "upper": [1.5e308]},
+        },
+    }
+    with pytest.raises(ConfigError, match=r"config\.cost_family"):
+        load_config_dict(raw)
+
+
 def test_load_config_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError, match="not found"):

@@ -1,5 +1,7 @@
 """Cost families: instantiation, box guards, and the three certificates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from threshold_lab import (
     normal,
 )
 from threshold_lab.distributions import PDF_FLOOR
+from threshold_lab.families import LINEARITY_TOL, RESPONSIVENESS_MIN_MOVE
 
 BOX1 = ParameterBox((-3.0,), (3.0,))
 
@@ -259,3 +262,100 @@ def test_make_cost_family_dispatch():
     assert fam.kind == "location"
     with pytest.raises(DistributionError):
         make_cost_family("spline", BOX1, template=logistic(0, 1))
+
+
+def _linearity_loop(fam, n_triples=50, n_points=20, seed=0):
+    """The per-triple check_linearity loop that the array version replaced."""
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(-6.0, 6.0, n_points)
+    worst = 0.0
+    for _ in range(n_triples):
+        x, y = fam.box.sample(rng, 2)
+        alpha = rng.uniform(0.0, 1.0)
+        mid = alpha * x + (1.0 - alpha) * y
+        blend = alpha * fam.instantiate(x).pdf(ts) + (1.0 - alpha) * fam.instantiate(y).pdf(ts)
+        err = float(np.max(np.abs(fam.instantiate(mid).pdf(ts) - blend)))
+        worst = max(worst, err)
+    return worst < LINEARITY_TOL, {"max_blend_err": worst, "n_triples": n_triples}
+
+
+def _responsiveness_loop(fam, epsilon=0.01, n_probe=200, seed=0):
+    """The per-probe check_responsiveness loop that the array version replaced."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(-10.0, 10.0, 401)
+    centers = fam.box.sample(rng, n_probe)
+    smallest = math.inf
+    probes = moved = 0
+    for x in centers:
+        base = fam.instantiate(x).cdf(ts)
+        for axis in range(fam.k):
+            delta = rng.uniform(-epsilon, epsilon)
+            x_prime = x.copy()
+            x_prime[axis] += delta
+            x_prime = fam.box.clip(x_prime)
+            if np.array_equal(x_prime, x):
+                continue
+            probes += 1
+            sup = float(np.max(np.abs(base - fam.instantiate(x_prime).cdf(ts))))
+            smallest = min(smallest, sup)
+            if sup > RESPONSIVENESS_MIN_MOVE:
+                moved += 1
+    ok = probes > 0 and moved == probes
+    return ok, {
+        "epsilon": epsilon,
+        "n_probe": n_probe,
+        "n_probes_run": probes,
+        "n_moved": moved,
+        "min_sup_move": None if smallest is math.inf else smallest,
+    }
+
+
+def _pinned_families():
+    """The benchmark's three family kinds over each benchmark catalog cost,
+    plus the constant, ignored-axis and 3-axis mixture_linear families and
+    a one-ulp box, on which clipping cancels some probes."""
+    costs = [
+        logistic(0.0, 1.0),
+        normal(0.0, 1.2),
+        normal(0.3, 1.5),
+        gumbel(0.0, 1.1),
+        mixture([(0.5, normal(-0.5, 1.0)), (0.5, normal(0.5, 1.0))]),
+    ]
+    fams = []
+    for cost in costs:
+        fams.append(location_family(cost, BOX1))
+        fams.append(location_scale_family(cost, ParameterBox((-3.0, 0.5), (3.0, 2.0))))
+        fams.append(
+            mixture_linear_family((normal(-2, 0.8), normal(2, 0.8), cost), ParameterBox((0.1, 0.1), (0.45, 0.45)))
+        )
+    same = logistic(0, 1)
+    fams.append(mixture_linear_family((same, same), ParameterBox((0.2,), (0.8,))))
+    fams.append(mixture_linear_family((normal(-1, 1), same, same), ParameterBox((0.2, 0.2), (0.4, 0.4))))
+    fams.append(
+        mixture_linear_family(
+            (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1), gumbel(0.5, 1.0)),
+            ParameterBox((0.1, 0.1, 0.1), (0.3, 0.3, 0.3)),
+        )
+    )
+    fams.append(location_family(normal(0, 1), ParameterBox((1.0,), (1.0 + 2.0**-52,))))
+    return fams
+
+
+PINNED_FAMILIES = _pinned_families()
+
+
+@pytest.mark.parametrize("seed", [0, 9, 123])
+def test_array_checks_equal_loops(seed):
+    """check_responsiveness and check_linearity draw the old loops' random
+    numbers in the same order and return identical (ok, evidence)."""
+    unrun = 0
+    for fam in PINNED_FAMILIES:
+        for epsilon in (0.01, 0.5, 10.0):
+            got = check_responsiveness(fam, epsilon=epsilon, seed=seed)
+            assert got == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)
+            unrun += got[1]["n_probes_run"] < got[1]["n_probe"] * fam.k
+        assert check_linearity(fam, seed=seed) == _linearity_loop(fam, seed=seed)
+        assert check_linearity(fam, n_triples=7, n_points=3, seed=seed) == _linearity_loop(
+            fam, n_triples=7, n_points=3, seed=seed
+        )
+    assert unrun > 0

@@ -204,10 +204,13 @@ def test_crossing_brackets_match_loop():
     assert len(_looped_brackets(zero_run, grid)) == 3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_support_needs_finite_log_density():
-    """A gumbel left tail whose log-density overflows inside the window."""
+    """A gumbel left tail whose log-density overflows inside the window.
+    The non-finite arithmetic there is expected and raises no warning."""
     report = check_admissible(gumbel(0, 0.01), gumbel(0.005, 0.01))
     assert report.support_ok is False
+    assert report.mlrp_ok is False
     assert not report.admissible
     assert check_admissible(normal(100, 1), normal(102, 1)).support_ok
 
