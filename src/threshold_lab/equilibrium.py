@@ -122,10 +122,11 @@ def deu_pos(m: ModelConfig, t):
     return float(out) if arr.ndim == 0 else out
 
 
-# The two formulas with the cost CDF and density passed as callables of
-# the prevalence pivot r * gap(t): ``eu_pos``/``deu_pos`` pass one cost
-# distribution, the batched optimizer a cost family's ``cdf_at``/``pdf_at``
-# over a parameter matrix, so both paths do the same float operations.
+# The payoff, its slope and the slope at 0, with the cost CDF and density
+# passed as callables of the prevalence pivot r * gap(t): ``eu_pos``,
+# ``deu_pos`` and ``foc_at_zero`` pass one cost distribution, the batched
+# optimizer and the sweep a cost family's ``cdf_at``/``pdf_at`` over a
+# parameter matrix, so both paths do the same float operations.
 
 
 def _eu_pos(pair: SignalPair, reward: float, cost_cdf, t):
@@ -142,6 +143,10 @@ def _deu_pos(pair: SignalPair, reward: float, cost_cdf, cost_pdf, t):
     return dpi * (1.0 - g0.cdf(t) - g1.cdf(t)) - pi * (p0 + p1) + p0
 
 
+def _foc_at_zero(pair: SignalPair, reward: float, cost_cdf):
+    return (1.0 - 2.0 * cost_cdf(reward * pair.gap(0.0))) * pair.g0.pdf(0.0)
+
+
 def foc_at_zero(m: ModelConfig) -> float:
     """Closed form of the payoff slope at the compliance-optimal threshold.
 
@@ -149,4 +154,4 @@ def foc_at_zero(m: ModelConfig) -> float:
     says whether accuracy gains by moving the threshold off 0, and its
     zero is the coincidence condition F(r * gap(0)) = 1/2.
     """
-    return (1.0 - 2.0 * prevalence_pos(m, 0.0)) * m.pair.g0.pdf(0.0)
+    return _foc_at_zero(m.pair, m.reward, m.cost.cdf)

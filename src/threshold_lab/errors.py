@@ -27,7 +27,7 @@ class OutOfBoxError(ThresholdLabError, ValueError):
     """Parameter vector lies outside the family's parameter box."""
 
 
-class DegenerateWeightsError(ThresholdLabError, ValueError):
+class DegenerateWeightsError(DistributionError):
     """A mixture weight implied by the parameter vector is not positive."""
 
 

@@ -3,13 +3,17 @@
 The question: for how much of a cost family's parameter box do the
 compliance-optimal and accuracy-optimal thresholds coincide?  The
 coincidence set is where the payoff slope at the compliance optimum
-vanishes, i.e. F(r * gap(0) | x) = 1/2 -- one scalar equation in k
-parameters, hence (for responsive families) a measure-zero set.  The
-sweep estimates its Lebesgue measure by uniform sampling: the fraction of
-samples whose coincidence metric falls below a tolerance ladder should
-shrink linearly with the tolerance (slope ~1 on log-log axes) and vanish
-in the limit.  A non-responsive family parked on the coincidence set is
-the control: its fraction pins at 1 at every tolerance.
+vanishes, i.e. F(p | x) = 1/2 at the pivot p = r * gap(0) -- one scalar
+equation in k parameters, hence a measure-zero set when dF(p | x)/dx is
+nonzero for almost every x in the box.  The ``certify`` responsiveness
+flag does not imply that: it asks whether F moves anywhere on a t-grid,
+and a family whose basis CDFs all equal 1/2 at p is responsive yet lies
+wholly on the coincidence set (README, "Model in one screen").  The sweep
+estimates the set's Lebesgue measure by uniform sampling: the fraction
+of samples whose coincidence metric falls below a tolerance ladder
+should shrink linearly with the tolerance (slope ~1 on log-log axes) and
+vanish in the limit.  A family parked on the coincidence set is the
+control: its fraction pins at 1 at every tolerance.
 
 Two metrics are available:
 
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import _foc_at_zero
 from .errors import CertificateMissingError
 from .families import CostFamily, FamilyCertificate
 from .optimize import accuracy_optimal  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
@@ -170,7 +175,7 @@ def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> Swe
     samples = sample_parameters(spec)
     n = spec.n_samples
     pair = spec.pair
-    focs = (1.0 - 2.0 * spec.family.cdf_at(spec.reward * pair.gap(0.0), samples)) * pair.g0.pdf(0.0)
+    focs = _foc_at_zero(pair, spec.reward, lambda p: spec.family.cdf_at(p, samples))
     if spec.mode == "threshold_distance":
         accs = accuracy_thresholds(spec.family, samples, pair, spec.reward)
     else:

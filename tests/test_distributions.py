@@ -112,6 +112,27 @@ def test_derivative_consistency(kind):
         assert pdf_err < PDF_PRIME_TOL
 
 
+@pytest.mark.parametrize("make, min_scale", [(normal, 0.1), (logistic, 0.07), (gumbel, 0.12)])
+def test_derivative_consistency_scale_range(make, min_scale):
+    """The tolerances hold down to the scale the docstring names, with
+    the grid in the member's units so it finds the worst point near the
+    mode, and fail 20% below it."""
+    z = np.linspace(-10.0, 10.0, 4001)
+    for loc, scale in ((0.0, min_scale), (1e5, min_scale), (-3.0, 1e6)):
+        cdf_err, pdf_err = derivative_consistency(make(loc, scale), loc + scale * z)
+        assert cdf_err < CDF_PDF_TOL and pdf_err < PDF_PRIME_TOL
+    cdf_err, pdf_err = derivative_consistency(make(0.0, 0.8 * min_scale), 0.8 * min_scale * z)
+    assert pdf_err > PDF_PRIME_TOL
+
+
+def test_derivative_consistency_narrow_normal():
+    """normal(0, 0.05) misses both tolerances on a plain grid."""
+    cdf_err, pdf_err = derivative_consistency(normal(0, 0.05), np.linspace(-2.0, 2.0, 401))
+    assert cdf_err > CDF_PDF_TOL and pdf_err > PDF_PRIME_TOL
+    cdf_err, pdf_err = derivative_consistency(normal(0, 0.2), np.linspace(-2.0, 2.0, 401))
+    assert cdf_err < CDF_PDF_TOL and pdf_err < PDF_PRIME_TOL
+
+
 def test_pdf_strictly_positive_everywhere():
     for d in (normal(0, 1), logistic(0, 1), gumbel(0, 0.75), mixture([(1.0, normal(0, 0.5))])):
         ts = np.array([-500.0, -40.0, 0.0, 40.0, 500.0])

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DELTA0, EU0, FOC0, PI0, logistic_cdf, suite_pair_specs
+from conftest import DELTA0, EU0, FOC0, PI0, logistic_cdf, suite_cost_specs, suite_pair_specs
 from threshold_lab import (
     ModelConfig,
     deu_pos,
@@ -68,6 +70,25 @@ def test_foc_zero_cases(std_pair):
 def test_foc_equals_deu_across_suite(suite_models):
     for label, model, _ in suite_models:
         assert abs(foc_at_zero(model) - deu_pos(model, 0.0)) < 1e-10, label
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_foc_at_zero_is_deu_pos_at_zero(suite_pairs, data):
+    """foc_at_zero drops the two terms of deu_pos(0) that carry
+    pdf0(0) - pdf1(0), which the normalization makes tiny but not zero:
+    deu_pos(0) - foc_at_zero = dpi(0) (1 - cdf0(0) - cdf1(0))
+    + pi(0) (pdf0(0) - pdf1(0)), with dpi(0) = f(r gap(0)) r (pdf0(0) -
+    pdf1(0)).  Both factors beside the density difference are at most 1 in
+    size, so that sum is bounded by the linear term below; the slack is
+    for rounding."""
+    _, pair = data.draw(st.sampled_from(suite_pairs))
+    _, cost = data.draw(st.sampled_from(suite_cost_specs()))
+    r = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.25, 4.0))
+    m = ModelConfig(pair=pair, cost=cost, reward=r)
+    p0, p1 = pair.g0.pdf(0.0), pair.g1.pdf(0.0)
+    linear = (1.0 + abs(r) * cost.pdf(r * pair.gap(0.0))) * abs(p0 - p1)
+    assert abs(foc_at_zero(m) - deu_pos(m, 0.0)) <= linear + 8.0 * math.ulp(p0)
 
 
 def test_deu_matches_finite_difference(std_model):

@@ -1,6 +1,7 @@
 """Cost families: instantiation, box guards, and the three certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from threshold_lab import (
     mixture_linear_family,
     normal,
 )
-from threshold_lab.distributions import PDF_FLOOR
+from threshold_lab.distributions import CDF_PDF_TOL, PDF_FLOOR, PDF_PRIME_TOL, derivative_consistency
 from threshold_lab.families import LINEARITY_TOL, RESPONSIVENESS_MIN_MOVE
 
 BOX1 = ParameterBox((-3.0,), (3.0,))
@@ -96,6 +97,17 @@ def _assert_batched_guards(method):
         raw.instantiate([0.0, -0.5])
     with pytest.raises(DistributionError):
         getattr(raw, method)(0.0, [[0.0, 0.5], [0.0, -0.5]])
+    # members whose location overflows, or whose scale underflows to 0,
+    # are refused as instantiate refuses them, without numpy warnings
+    overflow = CostFamily("location", ParameterBox((1e308,), (1.5e308,)), template=normal(1e308, 1))
+    underflow = CostFamily("location_scale", ParameterBox((-1.0, 1e-200), (1.0, 2e-200)), template=normal(0, 1e-200))
+    for raw, x in ((overflow, [1.2e308]), (underflow, [0.0, 1.5e-200])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DistributionError):
+                raw.instantiate(x)
+            with pytest.raises(DistributionError):
+                getattr(raw, method)(0.0, [x])
 
 
 def test_cdf_at_guards():
@@ -128,9 +140,9 @@ CDF_AT_FAMILIES = {
 
 
 def _assert_matches_instantiate(fam, method, data):
-    """``<method>_at`` over a parameter matrix equals the scalar path bit
-    for bit, with t a scalar, one point per row, or points shared by every
-    row (a (1, m) array)."""
+    """``<method>_at``, or the pdf' dispatch, over a parameter matrix
+    equals the scalar path bit for bit, with t a scalar, one point per
+    row, or points shared by every row (a (1, m) array)."""
     row = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(fam.box.lower, fam.box.upper)))
     xs = np.array(data.draw(st.lists(row, min_size=1, max_size=20)))
     n = len(xs)
@@ -145,7 +157,8 @@ def _assert_matches_instantiate(fam, method, data):
     else:
         t = np.array([data.draw(st.lists(point, min_size=1, max_size=5))])
         ts = np.repeat(t, n, axis=0)
-    got = getattr(fam, f"{method}_at")(t, xs)
+    # pdf' has no public batched method; cdf_at and pdf_at share its dispatch
+    got = fam._eval_at(method, t, xs) if method == "pdf_prime" else getattr(fam, f"{method}_at")(t, xs)
     assert got.shape == (ts.shape if shape == "shared" else (n,))
     got = got.reshape(n, -1)
     for i, x in enumerate(xs):
@@ -164,6 +177,13 @@ def test_cdf_at_matches_instantiate(kind, data):
 @given(data=st.data())
 def test_pdf_at_matches_instantiate(kind, data):
     _assert_matches_instantiate(CDF_AT_FAMILIES[kind], "pdf", data)
+
+
+@pytest.mark.parametrize("kind", sorted(CDF_AT_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pdf_prime_at_matches_instantiate(kind, data):
+    _assert_matches_instantiate(CDF_AT_FAMILIES[kind], "pdf_prime", data)
 
 
 def test_box_dimension_must_match_kind():
@@ -310,10 +330,25 @@ def _responsiveness_loop(fam, epsilon=0.01, n_probe=200, seed=0):
     }
 
 
+def _smoothness_loop(fam, n_points=20, seed=0):
+    """The per-member check_smoothness loop that the array version replaced."""
+    rng = np.random.default_rng(seed)
+    xs = fam.box.sample(rng, n_points)
+    ts = rng.uniform(-8.0, 8.0, n_points)
+    worst_cdf = worst_pdf = 0.0
+    for x, t in zip(xs, ts):
+        cdf_err, pdf_err = derivative_consistency(fam.instantiate(x), np.array([t]))
+        worst_cdf = max(worst_cdf, cdf_err)
+        worst_pdf = max(worst_pdf, pdf_err)
+    ok = worst_cdf < CDF_PDF_TOL and worst_pdf < PDF_PRIME_TOL
+    return ok, {"max_cdf_err": worst_cdf, "max_pdf_err": worst_pdf, "n_points": n_points}
+
+
 def _pinned_families():
     """The benchmark's three family kinds over each benchmark catalog cost,
-    plus the constant, ignored-axis and 3-axis mixture_linear families and
-    a one-ulp box, on which clipping cancels some probes."""
+    plus the constant, ignored-axis and 3-axis mixture_linear families, a
+    one-ulp box, on which clipping cancels some probes, and a narrow gumbel
+    whose smoothness errors are nan."""
     costs = [
         logistic(0.0, 1.0),
         normal(0.0, 1.2),
@@ -338,6 +373,8 @@ def _pinned_families():
         )
     )
     fams.append(location_family(normal(0, 1), ParameterBox((1.0,), (1.0 + 2.0**-52,))))
+    # far in a narrow gumbel's left tail pdf' is nan, and so are the errors
+    fams.append(location_family(gumbel(0, 0.001), ParameterBox((8.5,), (9.0,))))
     return fams
 
 
@@ -346,10 +383,13 @@ PINNED_FAMILIES = _pinned_families()
 
 @pytest.mark.parametrize("seed", [0, 9, 123])
 def test_array_checks_equal_loops(seed):
-    """check_responsiveness and check_linearity draw the old loops' random
-    numbers in the same order and return identical (ok, evidence)."""
+    """check_responsiveness, check_linearity and check_smoothness draw the
+    old loops' random numbers in the same order and return identical
+    (ok, evidence), nan errors included."""
     unrun = 0
     for fam in PINNED_FAMILIES:
+        assert check_smoothness(fam, seed=seed) == _smoothness_loop(fam, seed=seed)
+        assert check_smoothness(fam, n_points=3, seed=seed) == _smoothness_loop(fam, n_points=3, seed=seed)
         for epsilon in (0.01, 0.5, 10.0):
             got = check_responsiveness(fam, epsilon=epsilon, seed=seed)
             assert got == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)
@@ -359,3 +399,6 @@ def test_array_checks_equal_loops(seed):
             fam, n_triples=7, n_points=3, seed=seed
         )
     assert unrun > 0
+    narrow = PINNED_FAMILIES[-1]
+    assert math.isnan(derivative_consistency(narrow.instantiate([8.75]), np.array([0.0]))[1])
+    assert check_smoothness(narrow, seed=seed)[1]["max_pdf_err"] == 0.0
