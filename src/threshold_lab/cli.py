@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import sys
 from pathlib import Path
@@ -59,7 +60,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(1, f"error: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first command, not at import, and reused: parse_args
+    # keeps no state between calls
     parser = _Parser(prog="threshold-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"threshold-lab {__version__}")
     sub = parser.add_subparsers(dest="command")
@@ -125,7 +129,7 @@ def _emit(obj: dict, out_dir: Path | None, filename: str) -> None:
     text = json.dumps(obj, indent=2)
     print(text)
     if out_dir is not None:
-        write_json(out_dir / filename, obj)
+        write_json(out_dir / filename, obj, text=text)
 
 
 def _cmd_check(args) -> int:

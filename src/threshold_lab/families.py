@@ -64,8 +64,10 @@ __all__ = [
 _KINDS = ("mixture_linear", "location", "location_scale")
 LINEARITY_TOL = 1e-10
 RESPONSIVENESS_MIN_MOVE = 1e-12
-#: responsiveness centers evaluated per array pass
+#: responsiveness centers whose probes share one full-grid array pass
 _PROBE_BLOCK = 32
+#: stride of the coarse t-grid that bounds each responsiveness probe's sup
+_COARSE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -344,8 +346,25 @@ def check_responsiveness(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 
     the coincidence argument leans on: a family whose members ignore one
     coordinate must be caught even though joint perturbations would move
     the CDF through the other coordinates.  A perturbation that clipping
-    cancels is not run.  The probes are evaluated in blocks of
-    ``_PROBE_BLOCK`` centers to bound the size of the CDF arrays.
+    or rounding cancels is not run; every center is still evaluated, so a
+    center whose member cannot be built raises through the member guard.
+
+    The evidence is that of the full 401-point sup of every probe, found
+    coarse to fine.  One pass over all probes on every ``_COARSE_STRIDE``-th
+    grid point (51 of 401) gives each probe a lower bound low <= sup: the
+    coarse points are grid points, and ``cdf_at`` is elementwise, so they
+    carry the same CDF values as on the full grid.  The full sup is then
+    computed only where the bound leaves the evidence open: for every
+    probe whose low does not exceed RESPONSIVENESS_MIN_MOVE (nan
+    included), for the probe with the smallest low, and, repeatedly, for
+    every probe whose low is below the smallest full sup found so far.
+    Every other probe has sup >= low > RESPONSIVENESS_MIN_MOVE and
+    sup >= low >= that smallest full sup, so ``n_moved`` and
+    ``min_sup_move`` equal those of the full sups of all probes (the CDF
+    values of members that pass the guard are finite).  The full pass runs
+    in blocks of ``_PROBE_BLOCK`` centers' worth of probes to bound the
+    size of its CDF arrays; a family that does not respond sends every
+    probe there.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
@@ -354,15 +373,27 @@ def check_responsiveness(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 
     centers = fam.box.sample(rng, n_probe)
     # row i holds center i's per-axis deltas, drawn center by center
     deltas = rng.uniform(-epsilon, epsilon, (n_probe, fam.k))
-    sups = [np.empty(0)]
-    for b in range(0, n_probe, _PROBE_BLOCK):
-        # probe (i, axis): center i moved along that axis alone, clipped into the box
-        x = np.repeat(centers[b : b + _PROBE_BLOCK], fam.k, axis=0)
-        on_axis = np.tile(np.eye(fam.k, dtype=bool), (len(x) // fam.k, 1))
-        x_prime = np.where(on_axis, fam.box.clip(x + deltas[b : b + _PROBE_BLOCK].reshape(-1, 1)), x)
-        run = np.any(x_prime != x, axis=1)
-        sups.append(np.max(np.abs(fam.cdf_at(ts, x[run]) - fam.cdf_at(ts, x_prime[run])), axis=1))
-    sups = np.concatenate(sups)
+    # probe (i, axis): center i moved along that axis alone, clipped into the box
+    x = np.repeat(centers, fam.k, axis=0)
+    on_axis = np.tile(np.eye(fam.k, dtype=bool), (n_probe, 1))
+    x_prime = np.where(on_axis, fam.box.clip(x + deltas.reshape(-1, 1)), x)
+    run = np.flatnonzero(np.any(x_prime != x, axis=1))
+    coarse = ts[:, ::_COARSE_STRIDE]
+    base = fam.cdf_at(coarse, centers)
+    # each run probe's coarse lower bound, replaced by its full sup where refined
+    sups = np.max(np.abs(base[run // fam.k] - fam.cdf_at(coarse, x_prime[run])), axis=1)
+    exact = np.zeros(len(run), dtype=bool)
+    refine = ~(sups > RESPONSIVENESS_MIN_MOVE)
+    if len(run):
+        refine[np.argmin(sups)] = True
+    while refine.any():
+        todo = np.flatnonzero(refine)
+        for b in range(0, len(todo), _PROBE_BLOCK * fam.k):
+            block = todo[b : b + _PROBE_BLOCK * fam.k]
+            rows = run[block]
+            sups[block] = np.max(np.abs(fam.cdf_at(ts, x[rows]) - fam.cdf_at(ts, x_prime[rows])), axis=1)
+        exact |= refine
+        refine = ~exact & (sups < sups[exact].min())
     moved = int(np.count_nonzero(sups > RESPONSIVENESS_MIN_MOVE))
     ok = len(sups) > 0 and moved == len(sups)
     return ok, {

@@ -57,12 +57,18 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj, text: str | None = None) -> None:
+    """Write obj as 2-space indented JSON and a newline.
+
+    ``text``, when given, is ``json.dumps(obj, indent=2)`` as the caller
+    already encoded it, and is written instead of encoding obj again.
+    """
+    if text is None:
+        text = json.dumps(obj, indent=2)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_xy(path, xs, ys, labels=("x", "y")) -> None:
@@ -78,30 +84,27 @@ def write_xy(path, xs, ys, labels=("x", "y")) -> None:
 EQUILIBRIUM_COLUMNS = ("t", "pi_pos", "pi_neg", "eu_pos", "deu_pos")
 
 
+def _equilibrium_columns(m: ModelConfig, ts: np.ndarray):
+    return ts, prevalence_pos(m, ts), prevalence_neg(m, ts), eu_pos(m, ts), deu_pos(m, ts)
+
+
 def equilibrium_table(m: ModelConfig, ts: np.ndarray):
     """Rows of (t, pi_pos, pi_neg, eu_pos, deu_pos) over a finite grid."""
-    pp = prevalence_pos(m, ts)
-    pn = prevalence_neg(m, ts)
-    eu = eu_pos(m, ts)
-    deu = deu_pos(m, ts)
-    return [tuple(col[i] for col in (ts, pp, pn, eu, deu)) for i in range(len(ts))]
+    cols = _equilibrium_columns(m, ts)
+    return [tuple(col[i] for col in cols) for i in range(len(ts))]
 
 
 def write_equilibrium_csv(path, m: ModelConfig, ts: np.ndarray) -> None:
-    write_csv(path, EQUILIBRIUM_COLUMNS, equilibrium_table(m, ts))
+    """``write_csv`` of ``equilibrium_table(m, ts)``, byte for byte."""
+    _write_csv_blocks(path, EQUILIBRIUM_COLUMNS, np.column_stack(_equilibrium_columns(m, ts)))
 
 
-#: rows formatted per write in write_sweep_csv; bounds the text held in memory
+#: rows formatted per write in the block CSV writers; bounds the text held in memory
 SWEEP_CSV_BLOCK = 1024
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    """Per-sample records: parameters, both metrics, coincidence flags.
-
-    Byte-identical to ``write_csv`` over the same rows (fmt_float cells,
-    "1"/"0" flags, ``\\r\\n`` row ends), but formats the rows block by block
-    from stacked columns instead of building a list per row.
-    """
+    """Per-sample records: parameters, both metrics, coincidence flags."""
     k = result.samples.shape[1]
     header = (
         [f"x_{i + 1}" for i in range(k)]
@@ -110,13 +113,25 @@ def write_sweep_csv(path, result: SweepResult) -> None:
     )
     floats = np.column_stack([result.samples, result.foc_gaps, result.accuracy_thresholds])
     flags = np.column_stack([result.metrics < tol for tol in result.tolerances]).view(np.uint8)
+    _write_csv_blocks(path, header, floats, flags)
+
+
+def _write_csv_blocks(path, header, floats: np.ndarray, flags: np.ndarray | None = None) -> None:
+    """CSV of an (n, a) float matrix, then an (n, b) 0/1 flag matrix, per row.
+
+    Byte-identical to ``write_csv`` over the same rows (fmt_float cells,
+    "1"/"0" flags, ``\\r\\n`` row ends), but formats the rows block by block
+    from stacked columns instead of building a list per row.
+    """
+    if flags is None:
+        flags = np.empty((len(floats), 0), dtype=np.uint8)
     # "{:.17g}" spells nan and +-inf as fmt_float does
     row_format = ",".join(["{:.17g}"] * floats.shape[1] + ["{:d}"] * flags.shape[1]) + "\r\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, result.n_samples, SWEEP_CSV_BLOCK):
+        for start in range(0, len(floats), SWEEP_CSV_BLOCK):
             stop = start + SWEEP_CSV_BLOCK
             fh.writelines(
                 row_format.format(*row, *bits)

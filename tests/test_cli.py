@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threshold_lab
 from threshold_lab.cli import main
 
 MODEL_CONFIG = {
@@ -66,6 +71,35 @@ def test_invalid_config_exits_1(tmp_path, capsys):
                                                "g1": {"kind": "normal", "params": [1, 1]}}}))
     assert main(["check", "--config", str(bad)]) == 1
     assert "config.signal_pair.g0" in capsys.readouterr().err
+
+
+def _fresh_run(argv):
+    """(exit code, stdout, stderr) of argv run by the CLI in a new interpreter."""
+    src = str(Path(threshold_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "threshold_lab.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_commands(model_config, tmp_path, capsys, monkeypatch):
+    """One process runs a usage error, a valid command and the usage error
+    again; each gives the exit code and output of a run in a new
+    interpreter, and the JSON file holds what stdout printed."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    bad = ["optimize", "--config", str(model_config), "--frobnicate"]
+    good = ["check", "--config", str(model_config), "--out"]
+    runs = []
+    for argv in (bad, good + [str(tmp_path / "here")], bad):
+        code = main(argv)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0][0] == 1 and runs[1][0] == 0
+    assert runs[2] == runs[0]
+    assert runs[0] == _fresh_run(bad)
+    assert runs[1] == _fresh_run(good + [str(tmp_path / "fresh")])
+    written = (tmp_path / "here" / "check.json").read_text()
+    assert written == runs[1][1] == (tmp_path / "fresh" / "check.json").read_text()
 
 
 def test_check_reports_admissibility(model_config, capsys):

@@ -9,7 +9,9 @@ import pytest
 from threshold_lab import ConfigError, FamilyCertificate, ModelConfig, logistic, normal, normalize_pair
 from threshold_lab.config import DEFAULTS, load_config, load_config_dict
 from threshold_lab.genericity import SweepResult
+from threshold_lab import output
 from threshold_lab.output import (
+    EQUILIBRIUM_COLUMNS,
     SWEEP_CSV_BLOCK,
     equilibrium_table,
     fmt_float,
@@ -160,6 +162,9 @@ def test_write_csv_quoting(tmp_path):
     assert rows[2] == ["plain", "1"]
 
 
+CSV_EDGES = np.array([-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1e308])
+
+
 def _row_writer_sweep_csv(path, result):
     """Reference: the per-row write_csv path write_sweep_csv must match."""
     k = result.samples.shape[1]
@@ -177,7 +182,7 @@ def _row_writer_sweep_csv(path, result):
 @pytest.mark.parametrize("n", [5, SWEEP_CSV_BLOCK, 2 * SWEEP_CSV_BLOCK + 37])
 def test_sweep_csv_matches_row_writer(tmp_path, mode, n):
     rng = np.random.default_rng(n)
-    edges = np.array([-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1e308])
+    edges = CSV_EDGES
     samples = rng.normal(size=(n, 2))
     samples[: min(n, len(edges)), 0] = edges[:n]
     focs = rng.normal(scale=0.1, size=n)
@@ -201,3 +206,22 @@ def test_sweep_csv_matches_row_writer(tmp_path, mode, n):
     if n > len(edges):  # every edge value made it into the file
         cells = set(text.replace(b"\r\n", b",").split(b","))
         assert {b"-0", b"4.9406564584124654e-324", b"inf", b"-inf", b"nan", b"1e+308"} <= cells
+
+
+def test_equilibrium_csv_matches_row_writer(tmp_path, std_model, monkeypatch):
+    """write_equilibrium_csv formats its columns block by block, byte for
+    byte as write_csv formats equilibrium_table's rows, edge values included."""
+    ts = np.linspace(-5, 5, 101)
+    write_equilibrium_csv(tmp_path / "blocks.csv", std_model, ts)
+    write_csv(tmp_path / "rows.csv", EQUILIBRIUM_COLUMNS, equilibrium_table(std_model, ts))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # the model is finite on finite grids, so feed the edge values as columns
+    n = 2 * SWEEP_CSV_BLOCK + 37
+    cols = tuple(np.roll(np.resize(CSV_EDGES, n), j) for j in range(5))
+    monkeypatch.setattr(output, "_equilibrium_columns", lambda m, ts: cols)
+    write_equilibrium_csv(tmp_path / "blocks.csv", std_model, cols[0])
+    write_csv(tmp_path / "rows.csv", EQUILIBRIUM_COLUMNS, equilibrium_table(std_model, cols[0]))
+    text = (tmp_path / "blocks.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    cells = set(text.replace(b"\r\n", b",").split(b","))
+    assert {b"-0", b"4.9406564584124654e-324", b"inf", b"-inf", b"nan", b"1e+308"} <= cells

@@ -114,6 +114,16 @@ def test_cdf_at_guards():
     _assert_batched_guards("cdf_at")
 
 
+def test_responsiveness_runs_member_guard():
+    """Every probe centre is evaluated, so a raw family whose members
+    cannot be built raises even where rounding cancels every probe."""
+    overflow = CostFamily("location", ParameterBox((1e308,), (1.5e308,)), template=normal(1e308, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DistributionError):
+            check_responsiveness(overflow)
+
+
 def test_pdf_at_guards():
     _assert_batched_guards("pdf_at")
 
@@ -346,9 +356,10 @@ def _smoothness_loop(fam, n_points=20, seed=0):
 
 def _pinned_families():
     """The benchmark's three family kinds over each benchmark catalog cost,
-    plus the constant, ignored-axis and 3-axis mixture_linear families, a
-    one-ulp box, on which clipping cancels some probes, and a narrow gumbel
-    whose smoothness errors are nan."""
+    plus the constant, ignored-axis and 3-axis mixture_linear families,
+    two narrow normal location families, on whose CDF steps the coarse
+    responsiveness bound is loose, a one-ulp box, on which clipping cancels
+    some probes, and a narrow gumbel whose smoothness errors are nan."""
     costs = [
         logistic(0.0, 1.0),
         normal(0.0, 1.2),
@@ -372,6 +383,8 @@ def _pinned_families():
             ParameterBox((0.1, 0.1, 0.1), (0.3, 0.3, 0.3)),
         )
     )
+    fams.append(location_family(normal(0, 0.05), BOX1))
+    fams.append(location_family(normal(0, 0.02), BOX1))
     fams.append(location_family(normal(0, 1), ParameterBox((1.0,), (1.0 + 2.0**-52,))))
     # far in a narrow gumbel's left tail pdf' is nan, and so are the errors
     fams.append(location_family(gumbel(0, 0.001), ParameterBox((8.5,), (9.0,))))
@@ -402,3 +415,16 @@ def test_array_checks_equal_loops(seed):
     narrow = PINNED_FAMILIES[-1]
     assert math.isnan(derivative_consistency(narrow.instantiate([8.75]), np.array([0.0]))[1])
     assert check_smoothness(narrow, seed=seed)[1]["max_pdf_err"] == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from([normal, logistic, gumbel]),
+    scale=st.floats(0.02, 3.0),
+    epsilon=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_responsiveness_equals_loop(kind, scale, epsilon, seed):
+    """The coarse-to-fine sup gives the evidence of the full sup of every probe."""
+    fam = location_family(kind(0.0, scale), BOX1)
+    assert check_responsiveness(fam, epsilon=epsilon, seed=seed) == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)
