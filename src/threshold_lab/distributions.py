@@ -160,9 +160,11 @@ class ScalarDistribution:
         if self.kind == "normal":
             if what in ("cdf", "sf"):
                 return ndtr(z if what == "cdf" else -z)
-            if what == "log_pdf":
-                return -0.5 * z * z - math.log(s) - _LOG_SQRT_2PI
-            with np.errstate(under="ignore"):
+            # beyond |z| ~ 1.3e154, z * z overflows: the log-density is
+            # -inf and the density 0, as they should be
+            with np.errstate(over="ignore", under="ignore"):
+                if what == "log_pdf":
+                    return -0.5 * z * z - math.log(s) - _LOG_SQRT_2PI
                 dens = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
             return dens if what == "density" else -z * dens / s
         if self.kind == "logistic":

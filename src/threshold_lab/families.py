@@ -11,12 +11,16 @@ distribution F(.|x).  Three constructions are supported:
 * ``location_scale`` -- translated by x_1 and scaled by x_2 > 0 (k = 2).
 
 Axis-aligned boxes are convex, make uniform sampling trivial, and keep
-Lebesgue-measure estimation honest in any dimension.  One guarded map
-takes a matrix of parameter vectors to member parameters (the template's
-shift and scale, or the mixture weights); ``instantiate``, the array
-evaluators ``cdf_at`` / ``pdf_at`` and the factories all go through it.
-Every member parameter is affine in x (bilinear for location_scale), so
-the factories check a family by running that map on the 2^k box corners.
+Lebesgue-measure estimation honest in any dimension.  Construction is the
+one gate: a ``CostFamily``, built directly or by a factory, checks its
+kind, its box's dimension and that its members can be built.  Every
+member parameter (the template's shift and scale, or a mixture weight) is
+affine in x (bilinear for location_scale), so it is monotone in each
+coordinate, and so is its rounding: valid members at the box corners make
+every member in the box valid.  A mixture weight is smallest at the lower
+or the upper corner, so mixture_linear checks only those two, never all
+2^k.  ``instantiate`` and the array evaluators ``cdf_at`` / ``pdf_at``
+then only check that their rows lie in the box.
 
 ``certify`` produces executable evidence for the three structural
 requirements a family must meet before a coincidence sweep is meaningful:
@@ -32,7 +36,6 @@ the ``genericity`` module docstring.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +64,8 @@ __all__ = [
     "certify",
 ]
 
-_KINDS = ("mixture_linear", "location", "location_scale")
+#: box dimension of each location kind
+_LOCATION_DIMS = {"location": 1, "location_scale": 2}
 LINEARITY_TOL = 1e-10
 RESPONSIVENESS_MIN_MOVE = 1e-12
 #: responsiveness centers whose probes share one full-grid array pass
@@ -108,20 +112,64 @@ class ParameterBox:
 
 @dataclass(frozen=True)
 class CostFamily:
-    """A k-parameter cost family; build via the factory helpers.
+    """A k-parameter cost family, built directly or by the factory helpers.
+
+    Construction is the family's one gate, the same for a direct call and
+    a factory: it raises DistributionError for an unknown kind, a box of
+    the wrong dimension or, for location_scale, a scale axis that is not
+    positive, and DegenerateWeightsError or DistributionError for a box
+    corner whose member cannot be built (a nonpositive mixture weight; a
+    location or scale that is not finite, or a scale that is not
+    positive).  Member parameters are monotone in each coordinate (see the
+    module docstring), so every member in the box can then be built.
 
     ``instantiate(x)`` builds the member distribution at one parameter
     vector; ``cdf_at(t, xs)`` and ``pdf_at(t, xs)`` evaluate F(t | x) and
     f(t | x) for every row of an (n, k) parameter matrix in one array
     pass, bit-identical to ``instantiate(x).cdf(t)`` / ``.pdf(t)`` row by
-    row.  Direct construction skips the factory's box-corner checks; all
-    three methods still guard every call through ``_members``.
+    row.  All three raise OutOfBoxError for a row outside the box.
     """
 
     kind: str
     box: ParameterBox
     basis: tuple[ScalarDistribution, ...] = ()
     template: ScalarDistribution | None = None
+
+    def __post_init__(self):
+        if self.kind == "mixture_linear":
+            n = len(self.basis)
+            if self.k != n - 1:
+                raise DistributionError(f"mixture_linear over {n} basis members needs a {n - 1}-d box, got {self.k}-d")
+            # x_i is smallest at the lower corner and 1 - sum(x) at the
+            # upper one, so the other 2^k - 2 corners need no check
+            ends = np.array([self.box.lower, self.box.upper])
+            w = self.weights(ends)
+            if np.any(w <= 0.0):
+                row = int(np.argmin(w.min(axis=1)))
+                raise DegenerateWeightsError(
+                    f"x = {ends[row].tolist()} implies a nonpositive mixture weight {w[row].min()!r}"
+                )
+            return
+        if self.kind not in _LOCATION_DIMS:
+            kinds = ", ".join(("mixture_linear", *_LOCATION_DIMS))
+            raise DistributionError(f"unknown family kind {self.kind!r}; supported: {kinds}")
+        if self.k != _LOCATION_DIMS[self.kind]:
+            raise DistributionError(f"{self.kind} family needs a {_LOCATION_DIMS[self.kind]}-d box, got {self.k}-d")
+        if self.kind == "location_scale" and self.box.lower[1] <= 0.0:
+            raise DistributionError("location_scale box must keep the scale axis positive")
+        # per corner: every leaf of the template, moved by shift + scale * X,
+        # has a finite location and a finite positive scale
+        corners = self.box.corners()
+        shift, scale = corners[:, 0], (corners[:, 1] if self.kind == "location_scale" else 1.0)
+        valid = np.ones(len(corners), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for loc, s in _leaf_params(self.template):
+                valid &= np.isfinite(shift + scale * loc) & (0.0 < scale * s) & (scale * s < math.inf)
+        if not valid.all():
+            raise DistributionError(
+                f"x = {corners[np.argmin(valid)].tolist()} gives a member with a non-finite "
+                "location or scale, or a nonpositive scale"
+            )
 
     @property
     def k(self) -> int:
@@ -150,15 +198,14 @@ class CostFamily:
         (length n, or 1 to share the trailing points among all rows); the
         result has shape (n,) or (n,) + t.shape[1:].  Performs the same
         float operations as ``instantiate(x).cdf(t)``, so every element is
-        bit-identical to the scalar path, and raises what ``instantiate``
-        raises, through the same guard.
+        bit-identical to the scalar path.
         """
         return self._eval_at("cdf", t, xs)
 
     def pdf_at(self, t, xs) -> np.ndarray:
         """Density f(t | x) for every row x; the ``cdf_at`` counterpart,
         bit-identical to ``instantiate(x).pdf(t)`` and floored at
-        PDF_FLOOR the same way, with the same guard."""
+        PDF_FLOOR the same way."""
         return self._eval_at("pdf", t, xs)
 
     def _eval_at(self, what: str, t, xs) -> np.ndarray:
@@ -172,16 +219,12 @@ class CostFamily:
         return self.template.evaluate(what, t, *cols)
 
     def _members(self, xs) -> np.ndarray:
-        """The one guarded map from an (n, k) parameter matrix to member
-        parameters: for the location kinds the rows themselves, the
-        template's shift (and scale), and for mixture_linear the rows of
-        mixture weights.
+        """The map from an (n, k) parameter matrix to member parameters:
+        for the location kinds the rows themselves, the template's shift
+        (and scale), and for mixture_linear the rows of mixture weights.
 
         Raises OutOfBoxError for a wrong column count or a row outside the
-        box, DegenerateWeightsError for a nonpositive weight, and
-        DistributionError for a member whose location or scale is not
-        finite or whose scale is not positive: the checks that building
-        the member as a ScalarDistribution makes.
+        box; construction made every member inside it valid.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.k:
@@ -190,39 +233,7 @@ class CostFamily:
         if not inside.all():
             x = xs[np.argmin(inside)]
             raise OutOfBoxError(f"x = {x.tolist()} outside box [{self.box.lower}, {self.box.upper}]")
-        if self.kind == "mixture_linear":
-            w = self.weights(xs)
-            if np.any(w <= 0.0):
-                row = int(np.argmin(w.min(axis=1)))
-                raise DegenerateWeightsError(
-                    f"x = {xs[row].tolist()} implies a nonpositive mixture weight {w[row].min()!r}"
-                )
-            return w
-        if not self._box_members_valid:
-            valid = self._valid_members(xs)
-            if not valid.all():
-                raise DistributionError(
-                    f"x = {xs[np.argmin(valid)].tolist()} gives a member with a non-finite "
-                    "location or scale, or a nonpositive scale"
-                )
-        return xs
-
-    @functools.cached_property
-    def _box_members_valid(self) -> bool:
-        # every member parameter is monotone in each coordinate of x, and
-        # so is its rounding: valid members at the box corners make every
-        # member in the box valid, and its rows need no check of their own
-        return bool(self._valid_members(self.box.corners()).all())
-
-    def _valid_members(self, xs) -> np.ndarray:
-        # per row: every leaf of the template, moved by shift + scale * X,
-        # has a finite location and a finite positive scale
-        shift, scale = xs[:, 0], (xs[:, 1] if self.kind == "location_scale" else 1.0)
-        valid = np.ones(len(xs), dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for loc, s in _leaf_params(self.template):
-                valid &= np.isfinite(shift + scale * loc) & (0.0 < scale * s) & (scale * s < math.inf)
-        return valid
+        return self.weights(xs) if self.kind == "mixture_linear" else xs
 
 
 def _leaf_params(d: ScalarDistribution):
@@ -232,49 +243,22 @@ def _leaf_params(d: ScalarDistribution):
     return [p for _, comp in d.components for p in _leaf_params(comp)]
 
 
-def _check_corners(fam: CostFamily) -> CostFamily:
-    """Run the member guard at every box corner.
-
-    Every member parameter is affine in x (bilinear for location_scale),
-    so it takes its extremes at the corners: a member that cannot be
-    built somewhere in the box cannot be built at some corner.
-    """
-    fam._members(fam.box.corners())
-    return fam
-
-
 def mixture_linear_family(basis, box: ParameterBox) -> CostFamily:
-    basis = tuple(basis)
-    if box.k != len(basis) - 1:
-        raise DistributionError(
-            f"mixture_linear over {len(basis)} basis members needs a {len(basis) - 1}-d box, "
-            f"got {box.k}-d"
-        )
-    return _check_corners(CostFamily("mixture_linear", box, basis=basis))
+    return CostFamily("mixture_linear", box, basis=tuple(basis))
 
 
 def location_family(template: ScalarDistribution, box: ParameterBox) -> CostFamily:
-    if box.k != 1:
-        raise DistributionError(f"location family needs a 1-d box, got {box.k}-d")
-    return _check_corners(CostFamily("location", box, template=template))
+    return CostFamily("location", box, template=template)
 
 
 def location_scale_family(template: ScalarDistribution, box: ParameterBox) -> CostFamily:
-    if box.k != 2:
-        raise DistributionError(f"location_scale family needs a 2-d box, got {box.k}-d")
-    if box.lower[1] <= 0.0:
-        raise DistributionError("location_scale box must keep the scale axis positive")
-    return _check_corners(CostFamily("location_scale", box, template=template))
+    return CostFamily("location_scale", box, template=template)
 
 
 def make_cost_family(kind, box: ParameterBox, template=None, basis=None) -> CostFamily:
     if kind == "mixture_linear":
         return mixture_linear_family(basis or (), box)
-    if kind == "location":
-        return location_family(template, box)
-    if kind == "location_scale":
-        return location_scale_family(template, box)
-    raise DistributionError(f"unknown family kind {kind!r}; supported: {', '.join(_KINDS)}")
+    return CostFamily(kind, box, template=template)
 
 
 @dataclass(frozen=True)
@@ -305,14 +289,14 @@ def check_smoothness(fam: CostFamily, n_points: int = 20, seed: int = 0):
     array pass, that pdf matches the centered difference of cdf (tol
     CDF_PDF_TOL) and pdf' matches the centered difference of pdf (tol
     PDF_PRIME_TOL), as ``derivative_consistency`` does for one
-    distribution.  A nan error (a gumbel pdf' far in its left tail) does
-    not count towards the maxima.
+    distribution.  As there, a nan error (a gumbel pdf' far in its left
+    tail) makes its maximum nan, which fails the check.
     """
     rng = np.random.default_rng(seed)
     xs = fam.box.sample(rng, n_points)
     ts = rng.uniform(-8.0, 8.0, n_points)
     errs = _fd_errors(lambda what, t: fam._eval_at(what, t, xs), ts)
-    worst_cdf, worst_pdf = (float(np.fmax.reduce(e, initial=0.0)) for e in errs)
+    worst_cdf, worst_pdf = (float(np.max(e, initial=0.0)) for e in errs)
     ok = worst_cdf < CDF_PDF_TOL and worst_pdf < PDF_PRIME_TOL
     return ok, {"max_cdf_err": worst_cdf, "max_pdf_err": worst_pdf, "n_points": n_points}
 
@@ -346,8 +330,7 @@ def check_responsiveness(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 
     the coincidence argument leans on: a family whose members ignore one
     coordinate must be caught even though joint perturbations would move
     the CDF through the other coordinates.  A perturbation that clipping
-    or rounding cancels is not run; every center is still evaluated, so a
-    center whose member cannot be built raises through the member guard.
+    or rounding cancels is not run.
 
     The evidence is that of the full 401-point sup of every probe, found
     coarse to fine.  One pass over all probes on every ``_COARSE_STRIDE``-th
@@ -361,7 +344,7 @@ def check_responsiveness(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 
     Every other probe has sup >= low > RESPONSIVENESS_MIN_MOVE and
     sup >= low >= that smallest full sup, so ``n_moved`` and
     ``min_sup_move`` equal those of the full sups of all probes (the CDF
-    values of members that pass the guard are finite).  The full pass runs
+    values of the family's members are finite).  The full pass runs
     in blocks of ``_PROBE_BLOCK`` centers' worth of probes to bound the
     size of its CDF arrays; a family that does not respond sends every
     probe there.

@@ -208,7 +208,7 @@ def accuracy_thresholds(
     Element i is bit-identical to ``accuracy_optimal(ModelConfig(pair,
     family.instantiate(samples[i]), reward), lo, hi, n).threshold``: the
     same refiner runs on all rows at once, with the cost evaluated by
-    ``family.cdf_at``/``pdf_at``, which keep ``instantiate``'s guards.
+    ``family.cdf_at``/``pdf_at``, which keep ``instantiate``'s box check.
     """
     if not pair.normalized:
         raise ValueError("accuracy_thresholds requires a normalized signal pair")

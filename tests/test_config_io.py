@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +143,15 @@ def test_equilibrium_csv_round_trip(tmp_path, std_model):
     for parsed, exact in zip(rows[1:], expected):
         for text, value in zip(parsed, exact):
             assert float(text) == float(value)  # bitwise round trip
+
+
+def test_equilibrium_table_quiet_at_float_extremes(std_model):
+    """At t = +-1e308 the normal signal densities underflow to their floor
+    without a RuntimeWarning, and every column stays finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = equilibrium_table(std_model, np.array([1e308, -1e308]))
+    assert all(math.isfinite(v) for row in rows for v in row)
 
 
 def test_write_json_and_xy(tmp_path):

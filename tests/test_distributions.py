@@ -1,6 +1,7 @@
 """Distribution catalog: frozen examples, construction gate, self-consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ def test_log_pdf_finite_beyond_underflow():
     g = gumbel(0, 0.75)
     assert g.pdf(-12.0) == PDF_FLOOR  # density underflowed
     assert math.isfinite(g.log_pdf(-12.0))  # exact logarithm did not
+
+
+def test_normal_density_quiet_beyond_overflow():
+    """Beyond |z| ~ 1.3e154, z * z overflows: the normal density, its
+    logarithm and its derivative take their limits (PDF_FLOOR, -inf and
+    a zero) without a RuntimeWarning, in mixtures too."""
+    ts = np.array([2e154, -2e154, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (normal(0, 1), mixture([(0.4, normal(-1, 1)), (0.6, logistic(1, 1))])):
+            assert [d.pdf(t) for t in ts] == d.pdf(ts).tolist() == [PDF_FLOOR] * 4
+            assert np.all(d.pdf_prime(ts) == 0.0)
+        assert normal(0, 1).log_pdf(ts).tolist() == [-INF] * 4
 
 
 def test_affine_transform():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from threshold_lab import (
@@ -72,60 +72,147 @@ def test_out_of_box():
 
 
 def test_degenerate_weights_guard():
-    # the factory refuses a box touching zero weight; the raw constructor
-    # bypasses it and the instantiate-time guard must catch the degeneracy
-    with pytest.raises(DistributionError):
-        mixture_linear_family((normal(-1, 1), normal(1, 1)), ParameterBox((0.0,), (0.5,)))
-    raw = CostFamily("mixture_linear", ParameterBox((0.0,), (0.5,)), basis=(normal(-1, 1), normal(1, 1)))
+    # the factory refuses a box touching zero weight, as the raw
+    # constructor does (UNBUILDABLE below)
     with pytest.raises(DegenerateWeightsError):
-        raw.instantiate([0.0])
+        mixture_linear_family((normal(-1, 1), normal(1, 1)), ParameterBox((0.0,), (0.5,)))
+    basis = (normal(-1, 1), normal(1, 1), logistic(0, 1))
+    with pytest.raises(DegenerateWeightsError):  # 1 - sum(x) is 0 at the upper corner
+        CostFamily("mixture_linear", ParameterBox((0.2, 0.3), (0.5, 0.5)), basis=basis)
+
+
+#: raw families with a box corner whose member cannot be built, and the
+#: exception construction raises for each
+UNBUILDABLE = [
+    # a zero mixture weight at the lower corner
+    (
+        dict(kind="mixture_linear", box=ParameterBox((0.0,), (0.5,)), basis=(normal(-1, 1), normal(1, 1))),
+        DegenerateWeightsError,
+    ),
+    # a negative scale
+    (dict(kind="location_scale", box=ParameterBox((-1.0, -1.0), (1.0, 1.0)), template=normal(0, 1)), DistributionError),
+    # a location that overflows
+    (dict(kind="location", box=ParameterBox((1e308,), (1.5e308,)), template=normal(1e308, 1)), DistributionError),
+    # a scale that underflows to 0
+    (
+        dict(kind="location_scale", box=ParameterBox((-1.0, 1e-200), (1.0, 2e-200)), template=normal(0, 1e-200)),
+        DistributionError,
+    ),
+    # a location that overflows only at the corner (lower shift, upper scale)
+    (
+        dict(kind="location_scale", box=ParameterBox((-1e308, 1e-3), (1e307, 10.0)), template=normal(-1e307, 1)),
+        DistributionError,
+    ),
+]
+
+
+def test_construction_refuses_unbuildable_members():
+    """A directly constructed family passes the factories' gate: members
+    that cannot be built are refused when the family is built, without
+    numpy warnings, so no evaluator or certificate ever sees them."""
+    for fields, error in UNBUILDABLE:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                CostFamily(**fields)
 
 
 def _assert_batched_guards(method):
-    """cdf_at / pdf_at keep instantiate's guards as array checks."""
+    """cdf_at / pdf_at keep instantiate's box checks as array checks."""
     fam = location_family(logistic(0, 1), BOX1)
     with pytest.raises(OutOfBoxError):
         getattr(fam, method)(0.0, [[0.0], [99.0]])
     with pytest.raises(OutOfBoxError):
         getattr(fam, method)(0.0, np.zeros((3, 2)))  # (n, k + 1)
-    raw = CostFamily("mixture_linear", ParameterBox((0.0,), (0.5,)), basis=(normal(-1, 1), normal(1, 1)))
-    with pytest.raises(DegenerateWeightsError):
-        getattr(raw, method)(0.0, [[0.25], [0.0]])
-    # a raw location_scale box reaching a nonpositive scale fails like instantiate
-    raw = CostFamily("location_scale", ParameterBox((-1.0, -1.0), (1.0, 1.0)), template=normal(0, 1))
-    with pytest.raises(DistributionError):
-        raw.instantiate([0.0, -0.5])
-    with pytest.raises(DistributionError):
-        getattr(raw, method)(0.0, [[0.0, 0.5], [0.0, -0.5]])
-    # members whose location overflows, or whose scale underflows to 0,
-    # are refused as instantiate refuses them, without numpy warnings
-    overflow = CostFamily("location", ParameterBox((1e308,), (1.5e308,)), template=normal(1e308, 1))
-    underflow = CostFamily("location_scale", ParameterBox((-1.0, 1e-200), (1.0, 2e-200)), template=normal(0, 1e-200))
-    for raw, x in ((overflow, [1.2e308]), (underflow, [0.0, 1.5e-200])):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DistributionError):
-                raw.instantiate(x)
-            with pytest.raises(DistributionError):
-                getattr(raw, method)(0.0, [x])
+    with pytest.raises(OutOfBoxError):
+        getattr(fam, method)(0.0, np.zeros(3))  # not a matrix
 
 
 def test_cdf_at_guards():
     _assert_batched_guards("cdf_at")
 
 
-def test_responsiveness_runs_member_guard():
-    """Every probe centre is evaluated, so a raw family whose members
-    cannot be built raises even where rounding cancels every probe."""
-    overflow = CostFamily("location", ParameterBox((1e308,), (1.5e308,)), template=normal(1e308, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DistributionError):
-            check_responsiveness(overflow)
-
-
 def test_pdf_at_guards():
     _assert_batched_guards("pdf_at")
+
+
+#: locations near zero and near either end of the float range
+EDGE_LOCS = st.one_of(st.floats(-10.0, 10.0), st.floats(1e307, 1.7e308), st.floats(-1.7e308, -1e307))
+EDGE_BASIS = (normal(-1, 1), normal(1, 1), logistic(0, 1), gumbel(0.5, 1))
+
+
+def _nudge(x, steps):
+    """x moved by ``steps`` ulps."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def _edge_families(draw):
+    """Constructor fields of a family whose box reaches the edge of
+    validity: locations near +-1.7e308, template and axis scales down to
+    1e-200, or mixture boxes whose upper corner sums to 1 within a few ulps."""
+    kind = draw(st.sampled_from(["location", "location_scale", "mixture_linear"]))
+    if kind == "mixture_linear":
+        k = draw(st.integers(1, 3))
+        upper = [draw(st.floats(0.01, 0.9 / k)) for _ in range(k - 1)]
+        upper.append(_nudge(1.0 - math.fsum(upper), draw(st.integers(-4, 4))))
+        inside = [st.floats(0.0, u, exclude_min=True, exclude_max=True) for u in upper]
+        lower = [draw(st.one_of(st.floats(-0.05, 0.0), below)) for below in inside]
+        return dict(kind=kind, box=ParameterBox(tuple(lower), tuple(upper)), basis=EDGE_BASIS[: k + 1])
+    leaf = st.builds(
+        lambda make, loc, scale: make(loc, scale),
+        st.sampled_from([normal, logistic, gumbel]),
+        EDGE_LOCS,
+        st.one_of(st.floats(1e-200, 1e-150), st.floats(1e-3, 10.0)),
+    )
+    template = draw(st.one_of(leaf, st.builds(lambda a, b: mixture([(0.5, a), (0.5, b)]), leaf, leaf)))
+    lo, hi = sorted([draw(EDGE_LOCS), draw(EDGE_LOCS)])
+    assume(lo < hi)
+    lower, upper = [lo], [hi]
+    if kind == "location_scale":
+        lower.append(draw(st.one_of(st.just(0.0), st.floats(1e-200, 1e-150), st.floats(1e-3, 10.0))))
+        upper.append(draw(st.floats(lower[1], draw(st.sampled_from([100.0, 1e300])), exclude_min=True)))
+    return dict(kind=kind, box=ParameterBox(tuple(lower), tuple(upper)), template=template)
+
+
+def _corner_member(fields, corner):
+    """The member at a box corner, built as a ScalarDistribution the way
+    ``instantiate`` builds it; raises DistributionError where it cannot be."""
+    if fields["kind"] == "mixture_linear":
+        weights = [*corner, 1.0 - corner[None].sum(axis=-1)[0]]
+        return mixture([(float(w), d) for w, d in zip(weights, fields["basis"])])
+    return fields["template"].affine(*(float(v) for v in corner))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gate_is_the_corner_members(data):
+    """Construction raises iff the member at some box corner cannot be
+    built, and a family that is built instantiates anywhere in its box:
+    member parameters are monotone in each coordinate, rounding included."""
+    fields = data.draw(_edge_families())
+    box = fields["box"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            for corner in box.corners():
+                _corner_member(fields, corner)
+            corners_build = True
+        except DistributionError:
+            corners_build = False
+        try:
+            fam = CostFamily(**fields)
+        except DistributionError:
+            event("refused " + fields["kind"])
+            assert not corners_build
+            return
+        event("built " + fields["kind"])
+        assert corners_build
+        row = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(box.lower, box.upper)))
+        for x in data.draw(st.lists(row, min_size=1, max_size=10)):
+            fam.instantiate(x)
 
 
 def test_pdf_at_keeps_floor():
@@ -340,6 +427,17 @@ def _responsiveness_loop(fam, epsilon=0.01, n_probe=200, seed=0):
     }
 
 
+def _max_nan(a, b):
+    """max(a, b), but nan if either is nan, as np.max has it."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
+def _equal_nan(a, b):
+    """a == b for (ok, evidence) pairs, with nan equal to nan (two nan
+    floats make dict == False)."""
+    return repr(a) == repr(b)
+
+
 def _smoothness_loop(fam, n_points=20, seed=0):
     """The per-member check_smoothness loop that the array version replaced."""
     rng = np.random.default_rng(seed)
@@ -348,8 +446,8 @@ def _smoothness_loop(fam, n_points=20, seed=0):
     worst_cdf = worst_pdf = 0.0
     for x, t in zip(xs, ts):
         cdf_err, pdf_err = derivative_consistency(fam.instantiate(x), np.array([t]))
-        worst_cdf = max(worst_cdf, cdf_err)
-        worst_pdf = max(worst_pdf, pdf_err)
+        worst_cdf = _max_nan(worst_cdf, cdf_err)
+        worst_pdf = _max_nan(worst_pdf, pdf_err)
     ok = worst_cdf < CDF_PDF_TOL and worst_pdf < PDF_PRIME_TOL
     return ok, {"max_cdf_err": worst_cdf, "max_pdf_err": worst_pdf, "n_points": n_points}
 
@@ -401,8 +499,8 @@ def test_array_checks_equal_loops(seed):
     (ok, evidence), nan errors included."""
     unrun = 0
     for fam in PINNED_FAMILIES:
-        assert check_smoothness(fam, seed=seed) == _smoothness_loop(fam, seed=seed)
-        assert check_smoothness(fam, n_points=3, seed=seed) == _smoothness_loop(fam, n_points=3, seed=seed)
+        assert _equal_nan(check_smoothness(fam, seed=seed), _smoothness_loop(fam, seed=seed))
+        assert _equal_nan(check_smoothness(fam, n_points=3, seed=seed), _smoothness_loop(fam, n_points=3, seed=seed))
         for epsilon in (0.01, 0.5, 10.0):
             got = check_responsiveness(fam, epsilon=epsilon, seed=seed)
             assert got == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)
@@ -414,7 +512,8 @@ def test_array_checks_equal_loops(seed):
     assert unrun > 0
     narrow = PINNED_FAMILIES[-1]
     assert math.isnan(derivative_consistency(narrow.instantiate([8.75]), np.array([0.0]))[1])
-    assert check_smoothness(narrow, seed=seed)[1]["max_pdf_err"] == 0.0
+    ok, evidence = check_smoothness(narrow, seed=seed)
+    assert math.isnan(evidence["max_pdf_err"]) and not ok
 
 
 @settings(max_examples=30, deadline=None)
