@@ -94,23 +94,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_grid(text: str) -> dict:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--grid expects LO:HI:N, got {text!r}")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        return {"lo": float(parts[0]), "hi": float(parts[1]), "n": int(parts[2])}
     except ValueError as err:
         raise ConfigError(f"--grid expects LO:HI:N numbers, got {text!r}") from err
-    if not (lo < hi and n >= 2):
-        raise ConfigError(f"--grid needs lo < hi and n >= 2, got {text!r}")
-    return lo, hi, n
+
+
+def _with_flags(cfg: RunConfig, flags: dict) -> RunConfig:
+    """``cfg`` with the given command-line values in place of its fields.
+
+    ``flags`` maps a config field path (``"grid"``, ``"sweep.seed"``) to a
+    flag's value, None when the flag was not given.  The values are written
+    into the echo, which ``load_config_dict`` checks again, so a flag is
+    checked as the config field it replaces and the echo records it.
+    """
+    given = {field: value for field, value in flags.items() if value is not None}
+    if not given:
+        return cfg
+    raw = json.loads(json.dumps(cfg.echo))  # the echo as a rerun from its JSON reads it
+    for field, value in given.items():
+        section, _, name = field.rpartition(".")
+        (raw[section] if section else raw)[name] = value
+    return load_config_dict(raw)
 
 
 def _build_pair(cfg: RunConfig) -> SignalPair:
     if cfg.auto_normalize:
         return normalize_pair(cfg.g0, cfg.g1)
-    return SignalPair(g0=cfg.g0, g1=cfg.g1, shift=0.0, normalized=True)
+    return SignalPair(g0=cfg.g0, g1=cfg.g1)
 
 
 def _require_cost(cfg: RunConfig):
@@ -157,7 +172,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     cfg = load_config(args.config)
-    lo, hi, n = _parse_grid(args.grid) if args.grid else cfg.grid
+    grid = _parse_grid(args.grid) if args.grid is not None else None
+    cfg = _with_flags(cfg, {"grid": grid})
+    lo, hi, n = cfg.grid
     pair = _build_pair(cfg)
     model = ModelConfig(pair=pair, cost=_require_cost(cfg), reward=cfg.reward)
     ts = np.linspace(lo, hi, n)
@@ -174,15 +191,12 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    tol = args.tol if args.tol is not None else cfg.equivalence_tolerance
-    if tol <= 0.0:
-        raise ConfigError(f"--tol must be > 0, got {tol}")
+    cfg = _with_flags(load_config(args.config), {"equivalence_tolerance": args.tol})
     pair = _build_pair(cfg)
     model = ModelConfig(pair=pair, cost=_require_cost(cfg), reward=cfg.reward)
     compliance = compliance_optimal(model)
     accuracy = accuracy_optimal(model)
-    verdict = equivalence_verdict(model, compliance, accuracy, tol)
+    verdict = equivalence_verdict(model, compliance, accuracy, cfg.equivalence_tolerance)
     payload = {
         "compliance": {
             "threshold": compliance.threshold,
@@ -233,19 +247,13 @@ def _run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    raw = dict(cfg.echo)
-    sweep_over = dict(raw["sweep"])
-    if args.seed is not None:
-        sweep_over["seed"] = args.seed
-    if args.mode is not None:
-        sweep_over["mode"] = args.mode
+    tolerances = None
     if args.tol is not None:
         try:
-            sweep_over["tolerances"] = [float(t) for t in args.tol.split(",") if t]
+            tolerances = [float(t) for t in args.tol.split(",") if t]
         except ValueError as err:
             raise ConfigError(f"--tol expects comma-separated numbers, got {args.tol!r}") from err
-    raw["sweep"] = sweep_over
-    cfg = load_config_dict(raw)
+    cfg = _with_flags(cfg, {"sweep.seed": args.seed, "sweep.mode": args.mode, "sweep.tolerances": tolerances})
     out_dir = args.out if args.out is not None else Path("runs") / "sweep"
     summary = _run_sweep(cfg, out_dir)
     print(json.dumps(summary, indent=2))
@@ -264,9 +272,6 @@ DEMO_CONFIG = {
         "template": {"kind": "logistic", "params": [0.0, 1.0]},
         "box": {"lower": [-3.0], "upper": [3.0]},
     },
-    "reward": 1.0,
-    "grid": {"lo": -5.0, "hi": 5.0, "n": 101},
-    "sweep": {"n_samples": 10000, "tolerances": [0.1, 0.01, 0.001], "seed": 20250810, "mode": "foc_gap"},
 }
 
 

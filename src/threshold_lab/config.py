@@ -223,6 +223,8 @@ def load_config_dict(raw: dict) -> RunConfig:
     if any(nxt >= prev for prev, nxt in zip(tolerances, tolerances[1:])):
         raise ConfigError(f"config.sweep.tolerances: must be strictly descending, got {list(tolerances)}")
     seed = _as_int(sweep_obj.get("seed", DEFAULTS["sweep"]["seed"]), "config.sweep.seed")
+    if seed < 0:
+        raise ConfigError(f"config.sweep.seed: must be >= 0, got {seed}")
     mode = sweep_obj.get("mode", DEFAULTS["sweep"]["mode"])
     if mode not in MODES:
         raise ConfigError(f"config.sweep.mode: expected one of {MODES}, got {mode!r}")
@@ -268,11 +270,16 @@ def load_config_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """Read, parse and validate a JSON config file; every failure is a ConfigError."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError as err:
+        raise ConfigError(f"config file not found: {path}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config file {path} cannot be read: {err}") from err
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     return load_config_dict(raw)

@@ -18,9 +18,10 @@ Floating-point conventions
   monotone-likelihood-ratio scans must use: deep in a gumbel tail the
   density underflows while its logarithm is perfectly representable.
 
-Construction is the only validation gate: ``make_distribution`` (or the
-``normal`` / ``logistic`` / ``gumbel`` / ``mixture`` helpers) rejects
-nonpositive scales, non-finite parameters, and non-normalized mixtures.
+Construction is the only validation gate: ``ScalarDistribution`` (built
+directly, by ``make_distribution`` or by the ``normal`` / ``logistic`` /
+``gumbel`` / ``mixture`` helpers) rejects nonpositive scales, non-finite
+parameters, and non-normalized mixtures.
 Instances are frozen and safe to share across threads.
 """
 
@@ -233,18 +234,14 @@ def _evaluate_mixture(what: str, components, t, shift=0.0, scale=1.0):
 
 
 def make_distribution(kind, params=None, components=None) -> ScalarDistribution:
-    """Validated factory; the config loader and factories funnel through here.
+    """Factory that the config loader and the helpers below funnel through.
 
-    ``components`` is a sequence of ``(weight, ScalarDistribution)`` pairs
-    and is only accepted for ``kind == "mixture"``.
+    ``params`` is ``(loc, scale)`` for the analytic kinds; ``components``
+    is a sequence of ``(weight, ScalarDistribution)`` pairs for a mixture.
+    ``ScalarDistribution`` checks them, including that each kind gets only
+    the one it takes, and raises DistributionError.
     """
-    if kind == "mixture":
-        if params:
-            raise DistributionError("mixture takes components, not params")
-        return ScalarDistribution("mixture", (), tuple(components or ()))
-    if components:
-        raise DistributionError(f"{kind!r} takes params, not components")
-    return ScalarDistribution(str(kind), tuple(float(p) for p in (params or ())))
+    return ScalarDistribution(str(kind), tuple(float(p) for p in (params or ())), tuple(components or ()))
 
 
 def normal(loc: float, scale: float) -> ScalarDistribution:

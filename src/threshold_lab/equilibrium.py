@@ -62,15 +62,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """A complete model instance: normalized pair, cost CDF, reward."""
+    """A complete model instance: normalized pair, cost CDF, reward.
+
+    The pair is normalized by construction (see ``SignalPair``); the only
+    check made here is that the reward is finite (ValueError).
+    """
 
     pair: SignalPair
     cost: ScalarDistribution
     reward: float
 
     def __post_init__(self):
-        if not self.pair.normalized:
-            raise ValueError("ModelConfig requires a normalized signal pair")
         if not math.isfinite(self.reward):
             raise ValueError(f"reward must be finite, got {self.reward}")
 

@@ -115,8 +115,9 @@ class CostFamily:
     """A k-parameter cost family, built directly or by the factory helpers.
 
     Construction is the family's one gate, the same for a direct call and
-    a factory: it raises DistributionError for an unknown kind, a box of
-    the wrong dimension or, for location_scale, a scale axis that is not
+    a factory: it raises DistributionError for an unknown kind, a template
+    or basis member that is not a ScalarDistribution, a box of the wrong
+    dimension or, for location_scale, a scale axis that is not
     positive, and DegenerateWeightsError or DistributionError for a box
     corner whose member cannot be built (a nonpositive mixture weight; a
     location or scale that is not finite, or a scale that is not
@@ -137,6 +138,8 @@ class CostFamily:
 
     def __post_init__(self):
         if self.kind == "mixture_linear":
+            if not all(isinstance(d, ScalarDistribution) for d in self.basis):
+                raise DistributionError("mixture_linear basis members must be distributions")
             n = len(self.basis)
             if self.k != n - 1:
                 raise DistributionError(f"mixture_linear over {n} basis members needs a {n - 1}-d box, got {self.k}-d")
@@ -153,6 +156,8 @@ class CostFamily:
         if self.kind not in _LOCATION_DIMS:
             kinds = ", ".join(("mixture_linear", *_LOCATION_DIMS))
             raise DistributionError(f"unknown family kind {self.kind!r}; supported: {kinds}")
+        if not isinstance(self.template, ScalarDistribution):
+            raise DistributionError(f"{self.kind} family needs a template distribution, got {self.template!r}")
         if self.k != _LOCATION_DIMS[self.kind]:
             raise DistributionError(f"{self.kind} family needs a {_LOCATION_DIMS[self.kind]}-d box, got {self.k}-d")
         if self.kind == "location_scale" and self.box.lower[1] <= 0.0:

@@ -92,8 +92,6 @@ class SweepSpec:
         # the batched kernels build no ModelConfig, so its guards live here
         if not math.isfinite(self.reward) or self.reward == 0.0:
             raise ValueError(f"sweep requires a finite nonzero reward, got {self.reward}")
-        if not self.pair.normalized:
-            raise ValueError("sweep requires a normalized signal pair")
         tols = tuple(float(t) for t in self.tolerances)
         if not tols or any(t <= 0.0 for t in tols):
             raise ValueError("tolerances must be positive")

@@ -210,8 +210,6 @@ def accuracy_thresholds(
     same refiner runs on all rows at once, with the cost evaluated by
     ``family.cdf_at``/``pdf_at``, which keep ``instantiate``'s box check.
     """
-    if not pair.normalized:
-        raise ValueError("accuracy_thresholds requires a normalized signal pair")
     if not math.isfinite(reward):
         raise ValueError(f"reward must be finite, got {reward}")
     xs = np.asarray(samples, dtype=float)

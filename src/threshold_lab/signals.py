@@ -112,25 +112,27 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True)
 class SignalPair:
-    """A normalized admissible pair; build via ``normalize_pair``.
+    """A signal pair normalized so its densities cross at 0.
 
-    ``shift`` records the translation applied so the density crossing
-    moved to 0 (the original crossing location).
+    Every instance is normalized: construction raises AdmissibilityError
+    unless ``pdf0(0)`` and ``pdf1(0)`` agree within NORMALIZED_DENSITY_TOL
+    above the pdf floor, so the model code that takes a pair checks it no
+    further.  Build one with ``normalize_pair``, or directly from a pair
+    that already crosses at 0.  ``shift`` records the translation applied
+    so the density crossing moved to 0 (the original crossing location).
     """
 
     g0: ScalarDistribution
     g1: ScalarDistribution
     shift: float = 0.0
-    normalized: bool = True
 
     def __post_init__(self):
-        if self.normalized:
-            p0, p1 = self.g0.pdf(0.0), self.g1.pdf(0.0)
-            if abs(p0 - p1) > NORMALIZED_DENSITY_TOL or min(p0, p1) <= PDF_FLOOR:
-                raise AdmissibilityError(
-                    f"pair marked normalized but pdf0(0) = {p0:.3e}, pdf1(0) = {p1:.3e}; "
-                    f"they must agree within {NORMALIZED_DENSITY_TOL} above the pdf floor"
-                )
+        p0, p1 = self.g0.pdf(0.0), self.g1.pdf(0.0)
+        if abs(p0 - p1) > NORMALIZED_DENSITY_TOL or min(p0, p1) <= PDF_FLOOR:
+            raise AdmissibilityError(
+                f"pair marked normalized but pdf0(0) = {p0:.3e}, pdf1(0) = {p1:.3e}; "
+                f"they must agree within {NORMALIZED_DENSITY_TOL} above the pdf floor"
+            )
 
     def gap(self, t):
         """Signal gap cdf0(t) - cdf1(t), >= 0 for admissible normalized pairs.
@@ -288,7 +290,7 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
     g0n, g1n = g0.shifted(-t_star), g1.shifted(-t_star)
     if not _ratio_scan(g0n, g1n, _scan_grid(g0n, g1n))[0]:
         raise AdmissibilityError("monotone ratio lost under translation; numeric fault")
-    return SignalPair(g0=g0n, g1=g1n, shift=t_star, normalized=True)
+    return SignalPair(g0=g0n, g1=g1n, shift=t_star)
 
 
 def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:

@@ -73,6 +73,18 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "config.signal_pair.g0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+def test_unreadable_config_exits_1(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "non_utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"reward": "\xe9"}')
+    assert main(["check", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} cannot be read")
+    assert "Traceback" not in err
+
+
 def _fresh_run(argv):
     """(exit code, stdout, stderr) of argv run by the CLI in a new interpreter."""
     src = str(Path(threshold_lab.__file__).parents[1])
@@ -144,8 +156,73 @@ def test_equilibrium_csv_shape(model_config, capsys):
     assert float(row[0]) == -5.0
 
 
+def test_equilibrium_out_files_match_stdout(model_config, tmp_path, capsys):
+    argv = ["equilibrium", "--config", str(model_config), "--grid", "-3:3:31"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "equilibrium.csv").read_text(encoding="utf-8").splitlines() == table
+    rows = [line.split(",") for line in table[1:]]
+    curve = (tmp_path / "eu_curve.dat").read_text(encoding="utf-8").splitlines()
+    assert curve == ["# t eu_pos"] + [f"{row[0]} {row[3]}" for row in rows]
+
+
 def test_equilibrium_bad_grid_exits_1(model_config, capsys):
     assert main(["equilibrium", "--config", str(model_config), "--grid", "5:-5:101"]) == 1
+
+
+RUN_CONFIG = {**SWEEP_CONFIG, "cost": MODEL_CONFIG["cost"], "sweep": {**SWEEP_CONFIG["sweep"], "n_samples": 200}}
+
+
+@pytest.mark.parametrize(
+    "command, flags, expected",
+    [
+        ("optimize", ["--tol", "0.5"], {"tolerance": 0.5, "equivalent": True}),
+        (
+            "sweep",
+            ["--seed", "77", "--mode", "threshold_distance", "--tol", "0.2,0.02"],
+            {"seed": 77, "mode": "threshold_distance", "tolerances": [0.2, 0.02]},
+        ),
+    ],
+)
+def test_echo_reproduces_flagged_run(tmp_path, capsys, command, flags, expected):
+    """A run from the printed config echo, without flags, repeats the
+    flagged run byte for byte: the echo records the flag values."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(RUN_CONFIG))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "flagged"), *flags]) == 0
+    flagged = capsys.readouterr().out
+    payload = json.loads(flagged)
+    assert {key: payload[key] for key in expected} == expected
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(payload["config"]))
+    assert main([command, "--config", str(echo), "--out", str(tmp_path / "rerun")]) == 0
+    assert capsys.readouterr().out == flagged
+    written = sorted(p.name for p in (tmp_path / "flagged").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "rerun").iterdir())
+    for name in written:
+        assert (tmp_path / "rerun" / name).read_bytes() == (tmp_path / "flagged" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("optimize", "--tol=nan", "config.equivalence_tolerance: must be finite"),
+        ("optimize", "--tol=inf", "config.equivalence_tolerance: must be finite"),
+        ("optimize", "--tol=0", "config.equivalence_tolerance: must be > 0"),
+        ("equilibrium", "--grid=-inf:0:5", "config.grid.lo: must be finite"),
+        ("equilibrium", "--grid=0:1:1", "config.grid: need lo < hi and n >= 2"),
+        # an empty value is an edit too, not an absent flag
+        ("equilibrium", "--grid=", "--grid expects LO:HI:N"),
+        ("sweep", "--tol=", "config.sweep.tolerances: expected a nonempty list"),
+        ("sweep", "--seed=-1", "config.sweep.seed: must be >= 0"),
+    ],
+)
+def test_flag_values_pass_the_config_gate(tmp_path, capsys, command, flag, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(RUN_CONFIG))
+    assert main([command, "--config", str(path), flag, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_optimize_json(model_config, capsys):
@@ -222,6 +299,16 @@ def test_sweep_flag_overrides(sweep_config, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["seed"] == 77
     assert summary["tolerances"] == [0.2, 0.02]
+
+
+def test_check_certifies_cost_family(sweep_config, tmp_path, capsys):
+    assert main(["check", "--config", str(sweep_config), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "check.json").read_text(encoding="utf-8"))
+    family = payload["cost_family"]
+    assert set(family) == {"smooth_ok", "linear_ok", "responsive_ok", "evidence"}
+    assert set(family["evidence"]) == {"smoothness", "linearity", "responsiveness"}
+    # a location family is smooth and responsive, but not linear in its parameter
+    assert (family["smooth_ok"], family["linear_ok"], family["responsive_ok"]) == (True, False, True)
 
 
 def test_sweep_requires_family(model_config, capsys):

@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from threshold_lab import ConfigError, FamilyCertificate, ModelConfig, logistic, normal, normalize_pair
+from threshold_lab.cli import DEMO_CONFIG
 from threshold_lab.config import DEFAULTS, load_config, load_config_dict
 from threshold_lab.genericity import SweepResult
 from threshold_lab import output
@@ -79,6 +82,68 @@ def test_mixture_config_parses():
     cfg = load_config_dict(raw)
     assert cfg.cost.kind == "mixture"
     assert cfg.echo["cost"]["components"][0]["weight"] == 0.5
+
+
+LOGISTIC = {"kind": "logistic", "params": [0, 1]}
+
+#: one cost family of each kind, as config sections
+FAMILIES = {
+    "location": {"kind": "location", "template": LOGISTIC, "box": {"lower": [-3], "upper": [3]}},
+    "location_scale": {"kind": "location_scale", "template": LOGISTIC, "box": {"lower": [-3, 0.5], "upper": [3, 2]}},
+    "mixture_linear": {
+        "kind": "mixture_linear",
+        "basis": [{"kind": "normal", "params": [-2, 0.8]}, {"kind": "normal", "params": [2, 0.8]}, LOGISTIC],
+        "box": {"lower": [0.1, 0.1], "upper": [0.45, 0.45]},
+    },
+}
+
+
+def test_mixture_linear_family_config_parses():
+    cfg = load_config_dict({"signal_pair": MINIMAL["signal_pair"], "cost_family": FAMILIES["mixture_linear"]})
+    assert cfg.family.kind == "mixture_linear"
+    assert [d.kind for d in cfg.family.basis] == ["normal", "normal", "logistic"]
+    assert cfg.family.template is None
+    short = {**FAMILIES["mixture_linear"], "basis": [LOGISTIC]}
+    with pytest.raises(ConfigError, match=r"config\.cost_family\.basis: expected a list of at least two"):
+        load_config_dict({"signal_pair": MINIMAL["signal_pair"], "cost_family": short})
+
+
+ROUND_TRIP_CONFIGS = {
+    "demo": DEMO_CONFIG,
+    "mixture_cost": {
+        "signal_pair": MINIMAL["signal_pair"],
+        "cost": {
+            "kind": "mixture",
+            "components": [
+                {"weight": 0.25, "dist": {"kind": "gumbel", "params": [-0.5, 1]}},
+                {"weight": 0.75, "dist": LOGISTIC},
+            ],
+        },
+    },
+    **{
+        f"family_{kind}": {"signal_pair": MINIMAL["signal_pair"], "cost": LOGISTIC, "cost_family": fam}
+        for kind, fam in FAMILIES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CONFIGS))
+def test_echo_loads_to_itself(name):
+    """Loading an echo gives the same echo, to the byte.  Command-line
+    values are applied by writing them into the echo and loading it
+    again, so a run without flags from the printed echo repeats the run."""
+    cfg = load_config_dict(ROUND_TRIP_CONFIGS[name])
+    assert json.dumps(load_config_dict(cfg.echo).echo) == json.dumps(cfg.echo)
+
+
+def test_readme_config_schema_loads():
+    """The README's config schema, with its // comments stripped, passes
+    the config gate."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    schema = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+    cfg = load_config_dict(json.loads(re.sub(r"//.*", "", schema)))
+    assert cfg.family.kind == "location"
+    assert cfg.sweep.mode == "foc_gap"
 
 
 def test_family_config_dimension_mismatch():

@@ -68,6 +68,15 @@ def test_construction_gate():
     assert ok.kind == "mixture"
 
 
+def test_make_distribution_refuses_mismatched_inputs():
+    """Each kind takes only its own inputs: params for the analytic kinds,
+    components for a mixture."""
+    with pytest.raises(DistributionError, match="not params"):
+        make_distribution("mixture", [0, 1], components=[(1.0, normal(0, 1))])
+    with pytest.raises(DistributionError, match="not components"):
+        make_distribution("normal", [0, 1], components=[(1.0, normal(0, 1))])
+
+
 def test_frozen():
     d = normal(0, 1)
     with pytest.raises(Exception):

@@ -104,11 +104,11 @@ def test_deu_requires_finite_t(std_model):
 
 
 def test_model_config_validation(std_pair):
-    from threshold_lab import SignalPair
+    from threshold_lab import AdmissibilityError, SignalPair
 
-    raw = SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0, normalized=False)
-    with pytest.raises(ValueError):
-        ModelConfig(pair=raw, cost=logistic(0, 1), reward=1.0)
+    # a raw pair is rejected where it is built, before it reaches a model
+    with pytest.raises(AdmissibilityError):
+        SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0)
     with pytest.raises(ValueError):
         ModelConfig(pair=std_pair, cost=logistic(0, 1), reward=math.inf)
 

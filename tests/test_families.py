@@ -294,6 +294,18 @@ def test_box_dimension_must_match_kind():
         mixture_linear_family((normal(-1, 1), normal(1, 1)), ParameterBox((0.1, 0.1), (0.4, 0.4)))
 
 
+def test_members_must_be_distributions():
+    """A missing template or a basis of numbers is refused at construction
+    with DistributionError, not with an AttributeError at first use."""
+    box = ParameterBox((0.0,), (1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DistributionError, match="template"):
+            make_cost_family("location", box)
+        with pytest.raises(DistributionError, match="basis"):
+            mixture_linear_family((1.0, 2.0), box)
+
+
 def test_instantiate_deterministic():
     fam = mixture_linear_family(
         (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)), ParameterBox((0.1, 0.1), (0.45, 0.45))

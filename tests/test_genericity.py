@@ -68,8 +68,6 @@ def test_spec_validation(std_pair, logistic_location):
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, reward=math.inf)
     with pytest.raises(ValueError):
-        make_spec(fam, dataclasses.replace(std_pair, normalized=False))
-    with pytest.raises(ValueError):
         make_spec(fam, std_pair, n_samples=0)
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, mode="newton")

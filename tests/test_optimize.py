@@ -62,7 +62,7 @@ def _non_monotone_pair():
     g0 = mixture([(0.5, normal(-2, 2)), (0.5, normal(2, 2))])
     scale = 0.3989422804014327 / g0.pdf(0.0)  # phi(0)/scale == g0.pdf(0)
     g1 = normal(0.0, scale)
-    return SignalPair(g0=g0, g1=g1, shift=0.0, normalized=True)
+    return SignalPair(g0=g0, g1=g1, shift=0.0)
 
 
 def test_compliance_guardrail_fires_on_broken_pair():

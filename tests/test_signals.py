@@ -54,7 +54,6 @@ def test_normalize_examples():
     assert pair.shift == pytest.approx(1.0, abs=1e-11)
     assert pair.g0.params[0] == pytest.approx(-1.0, abs=1e-11)
     assert pair.g1.params[0] == pytest.approx(1.0, abs=1e-11)
-    assert pair.normalized
 
     already = normalize_pair(normal(-1, 1), normal(1, 1))
     assert already.shift == pytest.approx(0.0, abs=1e-12)
@@ -123,13 +122,15 @@ def test_gap_infinite_endpoints():
 
 def test_signalpair_validates_normalized_flag():
     with pytest.raises(AdmissibilityError):
-        SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0, normalized=True)
+        SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0)
     # densities that agree at 0 only because both sit on the pdf floor
     with pytest.raises(AdmissibilityError, match="pdf floor"):
-        SignalPair(g0=normal(-40, 1), g1=normal(40, 1), shift=0.0, normalized=True)
-    # a raw, un-normalized container is allowed when flagged as such
-    raw = SignalPair(g0=normal(0, 1), g1=normal(2, 1), shift=0.0, normalized=False)
-    assert not raw.normalized
+        SignalPair(g0=normal(-40, 1), g1=normal(40, 1), shift=0.0)
+    # there is no un-normalized pair: a normalized pair moved off its
+    # crossing is a raw container again, and is rejected
+    pair = normalize_pair(normal(0, 1), normal(2, 1))
+    with pytest.raises(AdmissibilityError):
+        SignalPair(g0=pair.g0.shifted(1.0), g1=pair.g1.shifted(1.0), shift=pair.shift)
 
 
 def test_mlrp_grid_shape_in_report():
