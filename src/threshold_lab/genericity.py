@@ -93,8 +93,8 @@ class SweepSpec:
         if not math.isfinite(self.reward) or self.reward == 0.0:
             raise ValueError(f"sweep requires a finite nonzero reward, got {self.reward}")
         tols = tuple(float(t) for t in self.tolerances)
-        if not tols or any(t <= 0.0 for t in tols):
-            raise ValueError("tolerances must be positive")
+        if not tols or not all(math.isfinite(t) and t > 0.0 for t in tols):
+            raise ValueError(f"tolerances must be finite and positive, got {tols}")
         if any(nxt >= prev for prev, nxt in zip(tols, tols[1:])):
             raise ValueError(f"tolerances must be strictly descending, got {tols}")
 

@@ -20,6 +20,15 @@ cells there is no interior maximum to pin, and the grid point stands.
 The refiner runs over rows in lockstep: ``accuracy_optimal`` feeds it one
 model, ``accuracy_thresholds`` every member of a cost family at once
 through ``CostFamily.cdf_at``/``pdf_at``, with bit-identical results.
+The bisection looks ahead: each slope call evaluates every row at the
+2**L - 1 midpoints of the next L levels of its bisection tree, each
+computed as the 0.5 * (lo + hi) of its own bracket, and the walk down
+those levels then takes exactly the steps of a one-level-per-call loop.
+A call on few points costs about as much as a call on one (numpy
+overhead, not arithmetic, sets the price), so L is the largest depth
+with n_rows * (2**L - 1) <= n, the grid size, and at least 1: L = 8 for
+one model on the default grid, 1 from 134 rows on.  The two slopes at the
+bracket ends share one call too.
 
 Coincidence of the two optima is judged by threshold proximity
 (|accuracy threshold| < tol with a finite accuracy optimum); the payoff
@@ -118,14 +127,21 @@ def compliance_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH
     return OptResult(threshold=0.0, value=at_zero, method="closed_form", iterations=0, bracket_width=0.0)
 
 
+def _lookahead_depth(n_rows: int, n: int) -> int:
+    """Bisection levels per slope call: the largest L with n_rows * (2**L - 1)
+    <= n, so one round evaluates no more points than the grid scan (L = 8 for
+    one row on the default grid, 1 from 134 rows on), and at least 1."""
+    return max((n // n_rows + 1).bit_length() - 1, 1)
+
+
 def _refine(eu, deu, n_rows: int, lo: float, hi: float, n: int):
     """The accuracy optimum of n_rows payoff curves, refined in lockstep.
 
     ``eu(t, rows)`` is the payoff of the rows selected by the slice
     ``rows`` at t of shape (1, m) or (rows, m); ``deu(t)`` is the slope of
-    every row at t of shape (n_rows,).  Each row follows exactly the steps
-    it would follow alone.  Returns per-row arrays (threshold, value,
-    iterations, bracket width, boundary flag).
+    every row at t of shape (n_rows, m).  Each row follows exactly the
+    steps it would follow alone.  Returns per-row arrays (threshold,
+    value, iterations, bracket width, boundary flag).
     """
     grid = _grid(lo, hi, n)
     best = np.empty(n_rows, dtype=np.intp)
@@ -138,19 +154,39 @@ def _refine(eu, deu, n_rows: int, lo: float, hi: float, n: int):
     width = b - a
     iters = np.zeros(n_rows, dtype=np.intp)
     # bisect only a bracket that holds a maximum: the slope falls through 0
-    bisect = (deu(a) > 0.0) & (deu(b) < 0.0)
+    ends = deu(np.column_stack([a, b]))
+    bisect = (ends[:, 0] > 0.0) & (ends[:, 1] < 0.0)
     active = bisect.copy()
+    depth = _lookahead_depth(n_rows, n)
+    first = np.arange(n_rows) * (2**depth - 1)  # each row's root in the flat tree
     while True:
         mid = 0.5 * (a + b)
         active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
         if not active.any():
             break
-        fm = deu(mid)
-        iters += active
-        # an exact zero moves both ends onto mid, closing the bracket; a
-        # nan moves the right end, so every step narrows the bracket
-        a = np.where(active & (fm >= 0.0), mid, a)
-        b = np.where(active & ~(fm > 0.0), mid, b)
+        # the midpoints of the next `depth` levels of each row's bisection
+        # tree, level by level in heap order (a node's children bisect
+        # (lo, mid) and (mid, hi)), each the 0.5 * (lo + hi) of its own
+        # bracket, so the walk below meets the floats a one-level loop meets
+        tree = level = mid[:, None]
+        los, his = a[:, None], b[:, None]
+        for _ in range(depth - 1):
+            los, his = (np.stack(pair, axis=2).reshape(n_rows, -1) for pair in ((los, level), (level, his)))
+            level = 0.5 * (los + his)
+            tree = np.concatenate([tree, level], axis=1)
+        slopes = deu(tree)
+        fm, node = slopes[:, 0], first
+        for step in range(depth):
+            if step:  # down to the child the last step chose
+                node = 2 * node + 1 + up - first
+                mid, fm = np.take(tree, node), np.take(slopes, node)
+                active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
+            iters += active
+            # an exact zero moves both ends onto mid, closing the bracket; a
+            # nan moves the right end, so every step narrows the bracket
+            up = fm > 0.0
+            a = np.where(active & (fm >= 0.0), mid, a)
+            b = np.where(active & ~up, mid, b)
     x = np.where(bisect, 0.5 * (a + b), x)
     width = np.where(bisect, b - a, width)
 
@@ -179,8 +215,11 @@ def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_H
     there), then compares with both infinite endpoints.  Ties are broken
     toward the finite candidate, then toward the smaller threshold (an
     infinite threshold is a null policy; prefer an informative one).
-    ``iterations`` counts slope bisections, and ``bracket_width`` is the
-    final bracket (the grid cells when no bisection ran).
+    ``iterations`` counts bisection steps, not slope calls: one call
+    settles up to 8 levels (the lookahead depth for one row on the
+    default grid; see the module docstring), so the ~37 steps from a grid
+    cell of 0.1 down to BISECT_WIDTH take 5 calls.  ``bracket_width`` is
+    the final bracket (the grid cells when no bisection ran).
     """
     x, value, iters, width, boundary = _refine(
         lambda t, rows: eu_pos(m, t), lambda t: deu_pos(m, t), 1, lo, hi, n
@@ -232,8 +271,8 @@ def equivalence_verdict(
     of the compliance optimum.  The payoff slope at 0 (a necessary
     condition for interior coincidence) is reported as ``foc_gap``.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be > 0")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     if m.reward == 0.0:
         raise ValueError("equivalence is ill-posed at reward 0 (prevalence never moves)")
     distance = abs(accuracy.threshold - compliance.threshold)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import settings
 
 from threshold_lab import (
     ModelConfig,
@@ -23,6 +24,12 @@ from threshold_lab import (
     normal,
     normalize_pair,
 )
+
+# every property test draws the same examples on every run and keeps no
+# example database, so a run's pass/fail count repeats
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
+
 
 # ---------------------------------------------------------------------------
 # stdlib oracles

@@ -63,6 +63,11 @@ def test_spec_validation(std_pair, logistic_location):
         make_spec(fam, std_pair, tolerances=(0.1, 0.1))
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, tolerances=(0.1, -0.01))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(fam, std_pair, tolerances=(0.1, bad))
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(fam, std_pair, tolerances=(bad,))
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, reward=0.0)
     with pytest.raises(ValueError):
@@ -150,14 +155,19 @@ def test_batched_equals_scalar(std_pair, suite_pairs):
 def test_batched_accuracy_equals_scalar(std_pair):
     """threshold_distance mode runs the optimizer on all samples at once;
     each threshold equals accuracy_optimal on the instantiated member
-    exactly, for every family kind, template kind and reward."""
+    exactly, for every family kind, template kind and reward.  The sample
+    counts straddle the lookahead depth changes: one slope call settles 8
+    bisection levels for 1 row, 7 for 2, 5 for 12, 2 for 133 and 1 from 134
+    rows on, while the scalar path always runs at depth 8; every family
+    kind meets every count."""
     cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True, evidence={})
+    counts = itertools.cycle((1, 2, 12, 133, 134, 200))
     for template in TEMPLATES:
-        for fam, r in itertools.product(families_of(template), (0.5, 1.0, 2.0)):
-            spec = make_spec(fam, std_pair, reward=r, n_samples=12, seed=5, mode="threshold_distance")
+        for (fam, r), n in zip(itertools.product(families_of(template), (0.5, 1.0, 2.0)), counts):
+            spec = make_spec(fam, std_pair, reward=r, n_samples=n, seed=5, mode="threshold_distance")
             res = coincidence_fraction(spec, cert)
             scalar = [accuracy_optimal(ModelConfig(std_pair, fam.instantiate(x), r)).threshold for x in res.samples]
-            assert np.array_equal(res.accuracy_thresholds, scalar), (fam.kind, template.kind, r)
+            assert np.array_equal(res.accuracy_thresholds, scalar), (fam.kind, template.kind, r, n)
 
 
 def test_mode_consistency(std_pair, logistic_location):

@@ -26,7 +26,7 @@ from threshold_lab import (
     normal,
     prevalence_pos,
 )
-from threshold_lab.optimize import SEARCH_HI, SEARCH_LO
+from threshold_lab.optimize import BISECT_WIDTH, SEARCH_HI, SEARCH_LO, _lookahead_depth, _refine
 
 INF = float("inf")
 
@@ -81,6 +81,22 @@ def test_accuracy_worked_example(std_model):
     t_brute, v_brute = brute_accuracy_argmax(std_model)
     assert res.threshold == pytest.approx(t_brute, abs=1e-4)  # brute grid is 1e-4 wide
     assert res.value >= v_brute - 1e-12
+
+
+def test_accuracy_slope_calls_per_bisection(std_model, monkeypatch):
+    """The docstring's count: the 37 bisection steps from a grid cell of 0.1
+    down to BISECT_WIDTH take 5 slope calls of 255 points, after one call
+    on the two bracket ends."""
+    shapes = []
+
+    def counted(m, t):
+        shapes.append(np.shape(t))
+        return deu_pos(m, t)
+
+    monkeypatch.setattr("threshold_lab.optimize.deu_pos", counted)
+    res = accuracy_optimal(std_model)
+    assert res.iterations == 37
+    assert shapes == [(1, 2)] + [(1, 255)] * 5
 
 
 def test_accuracy_value_dominates_grid(std_model):
@@ -166,6 +182,11 @@ def test_equivalence_verdict_from_computed_optima(std_pair):
         assert got == equivalence_test(m, 1e-6)
     with pytest.raises(ValueError):
         equivalence_verdict(m, compliance_optimal(m), accuracy_optimal(m), 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            equivalence_verdict(m, compliance_optimal(m), accuracy_optimal(m), bad)
+        with pytest.raises(ValueError, match="finite"):
+            equivalence_test(m, bad)
 
 
 LOCATION_TEMPLATES = {
@@ -191,3 +212,109 @@ def test_interior_optimum_is_stationary(std_pair, kind, scale, x, reward):
     res = accuracy_optimal(m)
     if math.isfinite(res.threshold) and SEARCH_LO < res.threshold < SEARCH_HI:
         assert abs(deu_pos(m, res.threshold)) <= 1e-9, res
+
+
+# ---------------------------------------------------------------------------
+# the lookahead slope bisection against the one-level-per-call loop
+
+
+def _sequential_refine(eu, deu, n_rows, lo, hi, n):
+    """Reference: the slope bisection one level per slope call, with the
+    same grid scan and endpoint comparison as ``optimize._refine``."""
+    grid = np.linspace(lo, hi, n)
+    best = np.argmax(eu(grid[None, :], slice(None)), axis=1)
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, n - 1)]
+    x = grid[best]
+    width = b - a
+    iters = np.zeros(n_rows, dtype=np.intp)
+    bisect = (deu(a) > 0.0) & (deu(b) < 0.0)
+    active = bisect.copy()
+    while True:
+        mid = 0.5 * (a + b)
+        active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
+        if not active.any():
+            break
+        fm = deu(mid)
+        iters += active
+        a = np.where(active & (fm >= 0.0), mid, a)
+        b = np.where(active & ~(fm > 0.0), mid, b)
+    x = np.where(bisect, 0.5 * (a + b), x)
+    width = np.where(bisect, b - a, width)
+    values = eu(np.column_stack([x, np.full(n_rows, -INF), np.full(n_rows, INF)]), slice(None))
+    value = values[:, 0]
+    boundary = np.zeros(n_rows, dtype=bool)
+    for j, end in ((1, -INF), (2, INF)):
+        wins = values[:, j] > value
+        value = np.where(wins, values[:, j], value)
+        x = np.where(wins, end, x)
+        boundary |= wins
+    iters[boundary] = 0
+    width[boundary] = 0.0
+    return x, value, iters, width, boundary
+
+
+# row kinds of the synthetic payoff -(t - c)^2, slope 2 (c - t)
+SMOOTH, DYADIC_ZERO, NAN_RIGHT, NAN_LEFT, SIGN_SLOPE, FLAT, WINS_LOW, WINS_HIGH = range(8)
+
+
+def _synthetic_rows(n_rows, lo, hi, n, seed):
+    """Per-row optimum c and kind, with eu(t, rows)/deu(t) callables that
+    broadcast the row parameters over t's trailing axes (deu takes (n_rows,)
+    for the reference loop and (n_rows, m) for the lookahead)."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(lo, hi, n)
+    step = grid[1] - grid[0]
+    kind = np.arange(n_rows) % 8
+    g = grid[rng.integers(n // 4, 3 * n // 4, n_rows)]
+    c = g + step * rng.uniform(-0.45, 0.45, n_rows)
+    # an exact zero at a dyadic midpoint of the bracket [g - step, g + step],
+    # reached at a different level in each row (grid steps are powers of 2)
+    depth = 1 + np.arange(n_rows) // 8 % 20
+    c = np.where(kind == DYADIC_ZERO, g + step * (2 * rng.integers(0, 2**18, n_rows) % 2**depth - 1) / 2.0**depth, c)
+
+    def cols(p, t):
+        return p.reshape(p.shape + (1,) * (t.ndim - 1))
+
+    def eu(t, rows):
+        # the infinite endpoints pay -1, or +1 to the rows they win
+        cc, kk = (cols(p[rows], t) for p in (c, kind))
+        wins = (kk == WINS_LOW) & (t == -INF) | (kk == WINS_HIGH) & (t == INF)
+        return np.where(np.isinf(t), np.where(wins, 1.0, -1.0), -((t - cc) ** 2))
+
+    def deu(t):
+        cc, kk = (cols(p, t) for p in (c, kind))
+        slope = np.where(kk == SIGN_SLOPE, np.where(t < cc, 1.0, -1.0), 2.0 * (cc - t))
+        slope = np.where(kk == FLAT, 1.0, slope)
+        w = step / 64.0
+        slope = np.where((kk == NAN_RIGHT) & (t > cc + w) & (t < cc + 8 * w), np.nan, slope)
+        return np.where((kk == NAN_LEFT) & (t < cc - w) & (t > cc - 8 * w), np.nan, slope)
+
+    return eu, deu
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 37, 250])
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [
+        (SEARCH_LO, SEARCH_HI, 401),  # the default grid, whose midpoints round
+        (-100.0, 100.0, 401),  # step 0.5: rows stop at BISECT_WIDTH or at an exact zero
+        (1e5 - 200.0, 1e5 + 200.0, 401),  # ulp 1.5e-11: rows stop at adjacent floats
+        (1e5, float(np.nextafter(1e5, INF)), 401),  # a one-ulp grid: brackets too narrow to split
+    ],
+)
+def test_lookahead_bisection_matches_sequential(n_rows, lo, hi, n):
+    """The lookahead bisection returns what the one-level-per-call loop
+    returns, bit for bit, for every row kind and at every depth."""
+    depth = _lookahead_depth(n_rows, n)
+    assert depth == {1: 8, 2: 7, 3: 7, 37: 3, 250: 1}[n_rows]
+    for seed in range(4):
+        eu, deu = _synthetic_rows(n_rows, lo, hi, n, seed)
+        want = _sequential_refine(eu, deu, n_rows, lo, hi, n)
+        got = _refine(eu, deu, n_rows, lo, hi, n)
+        for name, w, g in zip(("x", "value", "iters", "width", "boundary"), want, got):
+            assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), (name, seed)
+        if n_rows >= 37 and depth > 1 and lo == -100.0:
+            # rows leave the bisection at different levels of one round
+            iters = want[2][want[2] > 0]
+            assert len(set(iters % depth)) > 1
