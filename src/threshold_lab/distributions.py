@@ -162,12 +162,13 @@ class ScalarDistribution:
             if what in ("cdf", "sf"):
                 return ndtr(z if what == "cdf" else -z)
             # beyond |z| ~ 1.3e154, z * z overflows: the log-density is
-            # -inf and the density 0, as they should be
-            with np.errstate(over="ignore", under="ignore"):
+            # -inf and the density 0, as they should be; at z = +-inf pdf'
+            # is inf * 0, whose limit is 0
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 if what == "log_pdf":
                     return -0.5 * z * z - math.log(s) - _LOG_SQRT_2PI
                 dens = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
-            return dens if what == "density" else -z * dens / s
+                return dens if what == "density" else np.where(np.isinf(z), 0.0, -z * dens / s)
         if self.kind == "logistic":
             if what in ("cdf", "sf"):
                 return expit(z if what == "cdf" else -z)
@@ -177,14 +178,15 @@ class ScalarDistribution:
             dens = expit(z) * expit(-z) / s
             return dens if what == "density" else -np.tanh(z / 2.0) * dens / s
         # gumbel: far left, expm1(-z) overflows where the density underflows
-        # to 0, and pdf' is inf * 0 = nan there, as expected
+        # to 0, and pdf' is inf * 0 = nan there, as expected; at z = -inf the
+        # log-density is inf - inf, whose limit is -inf
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if what == "cdf":
                 return np.clip(np.exp(-np.exp(-z)), 0.0, 1.0)
             if what == "sf":
                 return np.clip(-np.expm1(-np.exp(-z)), 0.0, 1.0)
             if what == "log_pdf":
-                return -z - np.exp(-z) - math.log(s)
+                return np.where(np.isinf(z), -np.inf, -z - np.exp(-z)) - math.log(s)
             dens = np.where(np.isfinite(z), np.exp(-z - np.exp(-z)), 0.0) / s
             return dens if what == "density" else np.where(np.isfinite(z), np.expm1(-z), 0.0) * dens / s
 

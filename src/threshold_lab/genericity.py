@@ -89,6 +89,8 @@ class SweepSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the batched kernels build no ModelConfig, so its guards live here
         if not math.isfinite(self.reward) or self.reward == 0.0:
             raise ValueError(f"sweep requires a finite nonzero reward, got {self.reward}")

@@ -13,9 +13,12 @@ whose window follows the pair: ``MLRP_GRID_N`` points on
 two location parameters (weight-averaged over components for a mixture).
 The model is translation invariant, and so is the scan: moving both
 distributions by ``c`` moves the window, and the crossing, by ``c``.  One
-pass yields the log-ratio increments, the density-difference sign changes
-and at most one bisection; ``find_crossing``, ``normalize_pair`` and
-``check_admissible`` read its report.
+pass yields the log-ratio increments and the density-difference crossings,
+each one bracket ``(a, b, falls)``: two adjacent grid points with a strict
+sign flip, or ``a == b`` at an exact zero, with the sign before it read
+from the scan.  A unique crossing is bisected from its bracket without
+re-evaluating the ends; ``find_crossing``, ``normalize_pair`` and
+``check_admissible`` read the report.
 
 The monotone-ratio check runs on ``log_pdf`` differences: analytic
 log-densities stay finite deep in the tails where the densities themselves
@@ -153,39 +156,37 @@ class SignalPair:
 def _crossing_brackets(diff: np.ndarray, grid: np.ndarray):
     """Sign changes of ``diff`` on the grid, exact zeros included.
 
-    Returns a list of items: a float (the first grid point of a run of
-    exact zeros between opposite signs; the whole run is one crossing) or
-    an ``(a, b)`` bracket of adjacent grid points with a strict sign flip.
-    Zero points come first, then brackets, each in grid order.
+    Returns one ``(a, b, falls)`` item per crossing, in grid order.  Either
+    ``a`` and ``b`` are adjacent grid points with a strict sign flip, or
+    ``a == b`` is the first grid point of a run of exact zeros between
+    opposite signs (the whole run is one crossing).  ``falls`` is whether
+    ``diff`` is positive before the crossing, i.e. at ``a`` for a strict
+    flip.
     """
     nonzero = np.flatnonzero(diff)
     sign = np.sign(diff[nonzero])
     flips = np.flatnonzero(sign[:-1] != sign[1:])
-    left, right = nonzero[flips], nonzero[flips + 1]
-    adjacent = right == left + 1
-    zeros = [float(grid[i + 1]) for i in left[~adjacent]]
-    return zeros + [(float(grid[a]), float(grid[b])) for a, b in zip(left[adjacent], right[adjacent])]
+    left = nonzero[flips]
+    b = left + 1
+    a = np.where(nonzero[flips + 1] == b, left, b)
+    return [(float(grid[i]), float(grid[j]), bool(f)) for i, j, f in zip(a, b, sign[flips] > 0.0)]
 
 
-def _bisect(f, a: float, b: float, width: float = _BISECT_WIDTH) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoCrossingError(f"no sign change on [{a}, {b}]")
-    while b - a > width:
+def _bisect(f, a: float, b: float, falls: bool) -> float:
+    """Halve the bracket ``[a, b]`` of a sign change of ``f``, evaluating
+    ``f`` only at midpoints strictly inside it; ``falls`` is whether ``f``
+    is positive at ``a``.  A degenerate bracket ``a == b`` returns ``a``."""
+    while b - a > _BISECT_WIDTH:
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break
         fm = f(m)
         if fm == 0.0:
             return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
+        if (fm > 0.0) == falls:
+            a = m
         else:
-            b, fb = m, fm
+            b = m
     return 0.5 * (a + b)
 
 
@@ -220,11 +221,9 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     brackets = _crossing_brackets(diff, grid)
     location = None
     if len(brackets) == 1:
-        item = brackets[0]
-        if isinstance(item, tuple):
-            item = _bisect(lambda t: g0.pdf(t) - g1.pdf(t), *item)
-        if min(g0.pdf(item), g1.pdf(item)) > PDF_FLOOR:
-            location = item
+        t = _bisect(lambda u: g0.pdf(u) - g1.pdf(u), *brackets[0])
+        if min(g0.pdf(t), g1.pdf(t)) > PDF_FLOOR:
+            location = t
     return AdmissibilityReport(
         mlrp_ok=mlrp_ok,
         crossing_count=len(brackets),

@@ -71,6 +71,11 @@ def test_invalid_config_exits_1(tmp_path, capsys):
                                                "g1": {"kind": "normal", "params": [1, 1]}}}))
     assert main(["check", "--config", str(bad)]) == 1
     assert "config.signal_pair.g0" in capsys.readouterr().err
+    # a valid config that lacks the field a command needs
+    no_cost = tmp_path / "no_cost.json"
+    no_cost.write_text(json.dumps(SWEEP_CONFIG))
+    assert main(["optimize", "--config", str(no_cost)]) == 1
+    assert capsys.readouterr().err.startswith("error: config.cost: required for this command")
 
 
 @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
@@ -214,8 +219,11 @@ def test_echo_reproduces_flagged_run(tmp_path, capsys, command, flags, expected)
         ("equilibrium", "--grid=0:1:1", "config.grid: need lo < hi and n >= 2"),
         # an empty value is an edit too, not an absent flag
         ("equilibrium", "--grid=", "--grid expects LO:HI:N"),
+        ("equilibrium", "--grid=a:1:5", "--grid expects LO:HI:N numbers"),
+        ("sweep", "--tol=0.1,x", "--tol expects comma-separated numbers"),
         ("sweep", "--tol=", "config.sweep.tolerances: expected a nonempty list"),
         ("sweep", "--seed=-1", "config.sweep.seed: must be >= 0"),
+        ("sweep", "--mode=bogus", "config.sweep.mode: expected one of"),
     ],
 )
 def test_flag_values_pass_the_config_gate(tmp_path, capsys, command, flag, message):

@@ -63,6 +63,52 @@ def test_ascending_tolerances_rejected():
         load_config_dict(raw)
 
 
+FAMILY = {
+    "kind": "location",
+    "template": {"kind": "logistic", "params": [0, 1]},
+    "box": {"lower": [-3], "upper": [3]},
+}
+
+
+def _with_field(field, value):
+    """MINIMAL plus a cost family, with one field (a dotted path) set to value."""
+    raw = json.loads(json.dumps({**MINIMAL, "cost_family": FAMILY}))
+    *parents, name = field.split(".")
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[name] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("signal_pair", [], "config.signal_pair: expected an object, got list"),
+        ("reward", "1", "config.reward: expected a number, got '1'"),
+        ("sweep.seed", 1.5, "config.sweep.seed: expected an integer, got 1.5"),
+        (
+            "signal_pair.g0",
+            {"kind": "mixture", "components": []},
+            "config.signal_pair.g0.components: expected a nonempty list",
+        ),
+        ("signal_pair.g0.params", "0 1", "config.signal_pair.g0.params: expected a list of numbers"),
+        ("cost_family.box.lower", [], "config.cost_family.box.lower: expected a nonempty list of numbers"),
+        ("cost_family.box.upper", 3, "config.cost_family.box.upper: expected a nonempty list of numbers"),
+        ("cost_family.box.upper", [-4], "config.cost_family.box: box axis 0: need finite lower < upper"),
+        ("cost_family.kind", "affine", "config.cost_family.kind: unknown family kind 'affine'"),
+        ("signal_pair.auto_normalize", 1, "config.signal_pair.auto_normalize: expected true/false"),
+        ("sweep.n_samples", 0, "config.sweep.n_samples: must be >= 1, got 0"),
+        ("sweep.tolerances", [0.1, 0.0], "config.sweep.tolerances: tolerances must be > 0"),
+        ("sweep.mode", "newton", "config.sweep.mode: expected one of"),
+    ],
+)
+def test_rejection_names_the_field(field, value, message):
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(_with_field(field, value))
+    assert str(err.value).startswith(message)
+
+
 def test_missing_required_field_path():
     with pytest.raises(ConfigError, match=r"config\.signal_pair\.g1"):
         load_config_dict({"signal_pair": {"g0": {"kind": "normal", "params": [0, 1]}}})

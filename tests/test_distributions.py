@@ -64,6 +64,12 @@ def test_construction_gate():
         mixture([(-0.5, normal(0, 1)), (1.5, normal(1, 1))])
     with pytest.raises(DistributionError):
         make_distribution("normal", [math.nan, 1])
+    with pytest.raises(DistributionError, match="component 0 is not a distribution"):
+        mixture([(1.0, "normal")])
+    with pytest.raises(DistributionError, match=r"expects params \(loc, scale\)"):
+        make_distribution("logistic", [0.0])
+    with pytest.raises(DistributionError, match="affine transform parameters must be finite"):
+        normal(0, 1).affine(math.inf)
     ok = make_distribution("mixture", components=[(0.3, normal(-1, 1)), (0.7, normal(2, 1))])
     assert ok.kind == "mixture"
 
@@ -210,6 +216,24 @@ def test_normal_density_quiet_beyond_overflow():
             assert [d.pdf(t) for t in ts] == d.pdf(ts).tolist() == [PDF_FLOOR] * 4
             assert np.all(d.pdf_prime(ts) == 0.0)
         assert normal(0, 1).log_pdf(ts).tolist() == [-INF] * 4
+
+
+@pytest.mark.parametrize(
+    "d",
+    [normal(0.3, 1.2), logistic(-0.2, 0.7), gumbel(0.1, 0.8), mixture([(0.4, normal(-1, 1)), (0.6, gumbel(1, 0.7))])],
+    ids=["normal", "logistic", "gumbel", "mixture"],
+)
+def test_evaluators_at_infinity(d):
+    """Every evaluator takes its limit at -inf and +inf, as a scalar and
+    inside an array, without a RuntimeWarning."""
+    limits = {"cdf": (0.0, 1.0), "sf": (1.0, 0.0), "pdf": (PDF_FLOOR, PDF_FLOOR),
+              "log_pdf": (-INF, -INF), "pdf_prime": (0.0, 0.0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, expected in limits.items():
+            evaluate = getattr(d, what)
+            assert [evaluate(-INF), evaluate(INF)] == list(expected), what
+            assert evaluate(np.array([-INF, 0.5, INF]))[[0, 2]].tolist() == list(expected), what
 
 
 def test_affine_transform():

@@ -369,6 +369,8 @@ def test_responsiveness_monotone_in_epsilon():
     fam = location_family(logistic(0, 1), BOX1)
     assert check_responsiveness(fam, epsilon=0.01, seed=9)[0]
     assert check_responsiveness(fam, epsilon=0.005, seed=9)[0]
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        check_responsiveness(fam, epsilon=0.0)
 
 
 def test_smoothness_evidence():

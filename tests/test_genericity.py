@@ -15,6 +15,7 @@ from threshold_lab import (
     ParameterBox,
     SweepSpec,
     accuracy_optimal,
+    accuracy_thresholds,
     certify,
     coincidence_fraction,
     fit_loglog_slope,
@@ -76,6 +77,8 @@ def test_spec_validation(std_pair, logistic_location):
         make_spec(fam, std_pair, n_samples=0)
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, mode="newton")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        make_spec(fam, std_pair, seed=-1)
 
 
 def test_sampling_deterministic_and_in_box(std_pair, logistic_location):
@@ -168,6 +171,9 @@ def test_batched_accuracy_equals_scalar(std_pair):
             res = coincidence_fraction(spec, cert)
             scalar = [accuracy_optimal(ModelConfig(std_pair, fam.instantiate(x), r)).threshold for x in res.samples]
             assert np.array_equal(res.accuracy_thresholds, scalar), (fam.kind, template.kind, r, n)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="reward must be finite"):
+            accuracy_thresholds(fam, res.samples, std_pair, bad)
 
 
 def test_mode_consistency(std_pair, logistic_location):

@@ -157,6 +157,10 @@ def test_equivalence_rejects_zero_reward(std_pair):
         equivalence_test(m, 1e-6)
     with pytest.raises(ValueError):
         equivalence_test(ModelConfig(pair=std_pair, cost=logistic(0, 1), reward=1.0), -1.0)
+    # optima computed at reward 1 do not make the verdict well-posed at reward 0
+    paid = ModelConfig(pair=std_pair, cost=logistic(0, 1), reward=1.0)
+    with pytest.raises(ValueError, match="ill-posed at reward 0"):
+        equivalence_verdict(m, compliance_optimal(paid), accuracy_optimal(paid), 1e-6)
 
 
 def test_accuracy_infinite_endpoints_valued(std_pair):

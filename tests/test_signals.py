@@ -18,7 +18,7 @@ from threshold_lab import (
     normal,
     normalize_pair,
 )
-from threshold_lab.signals import _crossing_brackets, _scan_grid
+from threshold_lab.signals import _bisect, _crossing_brackets, _scan_grid
 from conftest import suite_pair_specs
 
 FINITE_GRID = np.linspace(-8.0, 8.0, 321)
@@ -47,6 +47,16 @@ def test_find_crossing_refinement_tolerance():
 def test_no_crossing_raises():
     with pytest.raises(NoCrossingError):
         find_crossing(normal(0, 1), normal(0, 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_find_crossing_rejects_unresolved_crossings():
+    """Two crossings, and a crossing whose bisection stops at the float
+    spacing near 1e5 before the densities agree within CROSSING_MATCH_TOL."""
+    with pytest.raises(AdmissibilityError, match="changes sign 2 times"):
+        find_crossing(normal(0, 1), normal(0, 4))
+    with pytest.raises(AdmissibilityError, match="crossing refinement stalled"):
+        find_crossing(normal(1e5, 0.05), normal(1e5 + 0.015, 0.05))
 
 
 def test_normalize_examples():
@@ -173,7 +183,8 @@ def test_translation_invariance(index, c):
 
 
 def _looped_brackets(diff, grid):
-    """The per-grid-point loop that ``_crossing_brackets`` replaced."""
+    """The per-grid-point loop that ``_crossing_brackets`` replaced, as
+    ``(a, b, falls)`` items in grid order."""
     sign = np.sign(diff)
     nonzero = np.nonzero(sign)[0]
     found = []
@@ -181,12 +192,12 @@ def _looped_brackets(diff, grid):
         left = sign[:i][sign[:i] != 0]
         right = sign[i + 1 :][sign[i + 1 :] != 0]
         if left.size and right.size and left[-1] != right[0]:
-            found.append(float(grid[i]))
+            found.append((float(grid[i]), float(grid[i]), bool(left[-1] > 0)))
     for j in range(nonzero.size - 1):
         a, b = nonzero[j], nonzero[j + 1]
         if sign[a] != sign[b] and b == a + 1:
-            found.append((float(grid[a]), float(grid[b])))
-    return found
+            found.append((float(grid[a]), float(grid[b]), bool(sign[a] > 0)))
+    return sorted(found)
 
 
 def test_crossing_brackets_match_loop():
@@ -201,8 +212,29 @@ def test_crossing_brackets_match_loop():
         assert _crossing_brackets(diff, grid) == _looped_brackets(diff, grid), diff
     # a run of exact zeros between opposite signs is one crossing, at its first zero
     zero_run = np.array([2.0, 1.0, 0.0, 0.0, 0.0, -1.0, -2.0, -3.0])
-    assert _crossing_brackets(zero_run, grid) == [2.0]
+    assert _crossing_brackets(zero_run, grid) == [(2.0, 2.0, True)]
     assert len(_looped_brackets(zero_run, grid)) == 3
+
+
+def test_bisect_evaluates_only_inside_its_bracket():
+    """The bracket's ends and sign come from the scan: ``_bisect`` calls
+    ``f`` only at midpoints strictly inside the current bracket, and a
+    degenerate bracket returns its point without a call."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 0.3 - t
+
+    t = _bisect(f, 0.0, 1.0, True)
+    assert abs(t - 0.3) <= 1e-12
+    lo, hi = 0.0, 1.0
+    for m in calls:
+        assert lo < m < hi and m == 0.5 * (lo + hi)
+        lo, hi = (m, hi) if 0.3 - m > 0.0 else (lo, m)
+    calls.clear()
+    assert _bisect(f, 0.25, 0.25, False) == 0.25
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
