@@ -132,17 +132,28 @@ def deu_pos(m: ModelConfig, t):
 
 
 def _eu_pos(pair: SignalPair, reward: float, cost_cdf, t):
-    pi = cost_cdf(reward * pair.gap(t))
-    return pi * pair.g1.sf(t) + (1.0 - pi) * pair.g0.cdf(t)
+    pivot, sf1, cdf0 = _eu_signal_terms(pair, reward, t)
+    return _eu_from_terms(cost_cdf(pivot), sf1, cdf0)
+
+
+def _eu_signal_terms(pair: SignalPair, reward: float, t):
+    """The payoff's cost-free terms at t: the pivot r * gap(t), sf1(t) and
+    cdf0(t), which a scan of many cost rows over one t-grid evaluates once."""
+    gap, cdf0, _, _, sf1 = pair._gap_terms(t)
+    return reward * gap, sf1, cdf0
+
+
+def _eu_from_terms(pi, sf1, cdf0):
+    """The payoff from the prevalence pi = F(pivot) and the signal terms."""
+    return pi * sf1 + (1.0 - pi) * cdf0
 
 
 def _deu_pos(pair: SignalPair, reward: float, cost_cdf, cost_pdf, t):
-    g0, g1 = pair.g0, pair.g1
-    gap = pair.gap(t)
-    p0, p1 = g0.pdf(t), g1.pdf(t)
+    gap, cdf0, cdf1, _, _ = pair._gap_terms(t)
+    p0, p1 = pair.g0.pdf(t), pair.g1.pdf(t)
     dpi = cost_pdf(reward * gap) * reward * (p0 - p1)
     pi = cost_cdf(reward * gap)
-    return dpi * (1.0 - g0.cdf(t) - g1.cdf(t)) - pi * (p0 + p1) + p0
+    return dpi * (1.0 - cdf0 - cdf1) - pi * (p0 + p1) + p0
 
 
 def _foc_at_zero(pair: SignalPair, reward: float, cost_cdf):

@@ -70,6 +70,10 @@ VERDICT_CONSISTENT = "consistent with measure zero"
 VERDICT_INCONSISTENT = "not consistent with measure zero"
 
 _BOOTSTRAP_SALT = 48879
+#: index draws per bootstrap block: the block's resamples are drawn at once
+#: as an (n_resamples_in_block, n) int64 array of at most this many entries
+#: (512 kB), so peak memory stays flat in the sample count
+_BOOTSTRAP_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -145,18 +149,37 @@ def fit_loglog_slope(tolerances, fractions):
     no scale information).  Returns ``(slope, degenerate)``; the fit is
     degenerate (slope nan) with fewer than two usable points.
     """
-    ts, fs = [], []
-    for t, f in zip(tolerances, fractions):
-        if f > 0.0:
-            ts.append(math.log(t))
-            fs.append(math.log(f))
-    if len(ts) < 2:
-        return math.nan, True
-    x = np.asarray(ts)
-    y = np.asarray(fs)
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[1]), False
+    slope = float(_fit_slopes(tolerances, np.asarray(fractions, dtype=float)[None, :])[0])
+    return slope, math.isnan(slope)
+
+
+def _fit_slopes(tolerances, fractions: np.ndarray) -> np.ndarray:
+    """``fit_loglog_slope`` of every row of an (r, len(tolerances)) fraction
+    matrix; nan where a row's fit is degenerate.
+
+    Rows with the same pattern of positive rungs share one design matrix
+    and are fitted together, one ``lstsq`` with a right-hand side per row,
+    whose columns are bit-identical to one solve per row.  Logarithms are
+    taken with ``math.log`` on both axes.
+    """
+    slopes = np.full(len(fractions), math.nan)
+    log_ts = [math.log(t) for t in tolerances]
+    positive = fractions > 0.0
+    # each row's pattern as one bytes key, so np.unique groups the rows
+    # without the slow row-wise unique of a 2-d array
+    packed = np.packbits(positive, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    for g, pattern in enumerate(positive[first]):
+        if np.count_nonzero(pattern) < 2:
+            continue
+        x = np.asarray([lt for lt, positive in zip(log_ts, pattern) if positive])
+        design = np.vstack([np.ones_like(x), x]).T
+        rows = which == g
+        fs = fractions[np.ix_(rows, pattern)]
+        ys = np.reshape(list(map(math.log, fs.ravel().tolist())), fs.shape)
+        slopes[rows] = np.linalg.lstsq(design, ys.T, rcond=None)[0][1]
+    return slopes
 
 
 def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> SweepResult:
@@ -208,24 +231,33 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     bootstrap resamples the per-sample metrics (seeded from the sweep
     seed, so reruns are bit-identical) and reports the 2.5/97.5 percentile
     band of the refitted slope.
+
+    The resamples are drawn in blocks from one generator: a block of b
+    resamples is one ``rng.integers(0, n, (b, n))`` call, which yields
+    exactly the numbers of b successive ``rng.integers(0, n, n)`` calls,
+    so the band is the one a resample-at-a-time loop gives.  Each rung of
+    a block is counted with one ``count_nonzero``, and all resamples with
+    the same pattern of positive rungs are refitted with one ``lstsq``
+    (see ``_fit_slopes``).
     """
     rng = np.random.default_rng((result.seed, _BOOTSTRAP_SALT))
-    slopes = []
     n = result.n_samples
     n_tols = len(result.tolerances)
     # level of a sample: how many tolerances its metric is below.  With a
     # descending ladder, the samples below tolerance j are those of level
-    # > j, so one bincount per resample gives every count, and count / n
-    # is exactly the np.mean of the boolean mask.
+    # > j, so count / n is exactly the np.mean of the boolean mask
     levels = np.sum(result.metrics[:, None] < np.asarray(result.tolerances), axis=1)
-    for _ in range(n_resamples):
-        counts = np.bincount(levels[rng.integers(0, n, n)], minlength=n_tols + 1)
-        below = np.cumsum(counts[::-1])[::-1]
-        fracs = tuple(float(c) / n for c in below[1:])
-        slope, degenerate = fit_loglog_slope(result.tolerances, fracs)
-        if not degenerate:
-            slopes.append(slope)
-    if slopes:
+    levels = levels.astype(np.min_scalar_type(n_tols))
+    below = np.empty((n_resamples, n_tols), dtype=np.intp)
+    block = max(_BOOTSTRAP_DRAWS // n, 1)
+    for start in range(0, n_resamples, block):
+        # one (rows, n) draw is the stream of `rows` successive n-draws
+        drawn = np.take(levels, rng.integers(0, n, (min(block, n_resamples - start), n)))
+        for j in range(n_tols):
+            below[start:start + len(drawn), j] = np.count_nonzero(drawn > j, axis=1)
+    slopes = _fit_slopes(result.tolerances, below / n)
+    slopes = slopes[~np.isnan(slopes)]
+    if len(slopes):
         lo, hi = np.percentile(slopes, [2.5, 97.5])
     else:
         lo = hi = math.nan

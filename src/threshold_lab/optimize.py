@@ -20,6 +20,10 @@ cells there is no interior maximum to pin, and the grid point stands.
 The refiner runs over rows in lockstep: ``accuracy_optimal`` feeds it one
 model, ``accuracy_thresholds`` every member of a cost family at once
 through ``CostFamily.cdf_at``/``pdf_at``, with bit-identical results.
+The grid scan splits the payoff into its signal terms (the pivot
+r * gap(t), sf1(t) and cdf0(t), the same for every row) and its cost term
+F(pivot | row): the signal terms are evaluated on the grid once per call,
+the cost term one block of rows at a time.
 The bisection looks ahead: each slope call evaluates every row at the
 2**L - 1 midpoints of the next L levels of its bisection tree, each
 computed as the 0.5 * (lo + hi) of its own bracket, and the walk down
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelConfig, _deu_pos, _eu_pos, deu_pos, eu_pos, foc_at_zero, prevalence_pos
+from .equilibrium import ModelConfig, _deu_pos, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
 from .errors import VerificationFailedError
 from .families import CostFamily
 from .signals import SignalPair
@@ -134,20 +138,36 @@ def _lookahead_depth(n_rows: int, n: int) -> int:
     return max((n // n_rows + 1).bit_length() - 1, 1)
 
 
-def _refine(eu, deu, n_rows: int, lo: float, hi: float, n: int):
+def _payoff_at(pair: SignalPair, reward: float, cost_cdf):
+    """The payoff in two stages, as ``_refine`` takes it: ``eu_at(t)``
+    evaluates the signal terms at t once and returns ``rows -> payoff`` of
+    the rows selected by a slice, whose prevalence is ``cost_cdf(pivot,
+    rows)``."""
+
+    def eu_at(t):
+        pivot, sf1, cdf0 = _eu_signal_terms(pair, reward, t)
+        return lambda rows: _eu_from_terms(cost_cdf(pivot, rows), sf1, cdf0)
+
+    return eu_at
+
+
+def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     """The accuracy optimum of n_rows payoff curves, refined in lockstep.
 
-    ``eu(t, rows)`` is the payoff of the rows selected by the slice
-    ``rows`` at t of shape (1, m) or (rows, m); ``deu(t)`` is the slope of
-    every row at t of shape (n_rows, m).  Each row follows exactly the
-    steps it would follow alone.  Returns per-row arrays (threshold,
-    value, iterations, bracket width, boundary flag).
+    ``eu_at(t)``, for t of shape (1, m) or (n_rows, m), returns ``rows ->
+    payoff`` of the rows selected by a slice ``rows`` (so the grid scan
+    evaluates what all rows share once, then one block of rows at a
+    time); ``deu(t)`` is the slope of every row at t of shape (n_rows,
+    m).  Each row follows exactly the steps it would follow alone.
+    Returns per-row arrays (threshold, value, iterations, bracket width,
+    boundary flag).
     """
     grid = _grid(lo, hi, n)
+    scan = eu_at(grid[None, :])
     best = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, _GRID_BLOCK):
         rows = slice(start, min(start + _GRID_BLOCK, n_rows))
-        best[rows] = np.argmax(eu(grid[None, :], rows), axis=1)
+        best[rows] = np.argmax(scan(rows), axis=1)
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, n - 1)]
     x = grid[best]
@@ -190,7 +210,8 @@ def _refine(eu, deu, n_rows: int, lo: float, hi: float, n: int):
     x = np.where(bisect, 0.5 * (a + b), x)
     width = np.where(bisect, b - a, width)
 
-    values = eu(np.column_stack([x, np.full(n_rows, -math.inf), np.full(n_rows, math.inf)]), slice(None))
+    ends = np.column_stack([x, np.full(n_rows, -math.inf), np.full(n_rows, math.inf)])
+    values = eu_at(ends)(slice(None))
     value = values[:, 0]
     boundary = np.zeros(n_rows, dtype=bool)
     # an endpoint wins only by a strict margin: an infinite threshold is a
@@ -222,7 +243,7 @@ def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_H
     the final bracket (the grid cells when no bisection ran).
     """
     x, value, iters, width, boundary = _refine(
-        lambda t, rows: eu_pos(m, t), lambda t: deu_pos(m, t), 1, lo, hi, n
+        _payoff_at(m.pair, m.reward, lambda u, rows: m.cost.cdf(u)), lambda t: deu_pos(m, t), 1, lo, hi, n
     )
     return OptResult(
         threshold=float(x[0]),
@@ -253,13 +274,11 @@ def accuracy_thresholds(
         raise ValueError(f"reward must be finite, got {reward}")
     xs = np.asarray(samples, dtype=float)
 
-    def eu(t, rows):
-        return _eu_pos(pair, reward, lambda u: family.cdf_at(u, xs[rows]), t)
-
     def deu(t):
         return _deu_pos(pair, reward, lambda u: family.cdf_at(u, xs), lambda u: family.pdf_at(u, xs), t)
 
-    return _refine(eu, deu, len(xs), lo, hi, n)[0]
+    eu_at = _payoff_at(pair, reward, lambda u, rows: family.cdf_at(u, xs[rows]))
+    return _refine(eu_at, deu, len(xs), lo, hi, n)[0]
 
 
 def equivalence_verdict(

@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -116,27 +117,42 @@ def write_sweep_csv(path, result: SweepResult) -> None:
     _write_csv_blocks(path, header, floats, flags)
 
 
+@functools.cache
+def _flag_tails(m: int) -> np.ndarray:
+    """The text ",f_1,...,f_m" of every pattern of m <= 8 flags, indexed
+    by its little-endian bit code."""
+    return np.array(["".join(",%d" % (code >> j & 1) for j in range(m)) for code in range(2**m)], dtype=object)
+
+
 def _write_csv_blocks(path, header, floats: np.ndarray, flags: np.ndarray | None = None) -> None:
     """CSV of an (n, a) float matrix, then an (n, b) 0/1 flag matrix, per row.
 
     Byte-identical to ``write_csv`` over the same rows (fmt_float cells,
-    "1"/"0" flags, ``\\r\\n`` row ends), but formats the rows block by block
-    from stacked columns instead of building a list per row.
+    "1"/"0" flags, ``\\r\\n`` row ends), but formats SWEEP_CSV_BLOCK rows
+    at a time with one ``%`` of the row format repeated per row.  The flags
+    of a row are written as their text from a table of the 2**8 patterns of
+    8 flags, indexed by the byte that ``np.packbits`` makes of each run of
+    up to 8 flags.
     """
+    n, a = floats.shape
     if flags is None:
-        flags = np.empty((len(floats), 0), dtype=np.uint8)
-    # "{:.17g}" spells nan and +-inf as fmt_float does
-    row_format = ",".join(["{:.17g}"] * floats.shape[1] + ["{:d}"] * flags.shape[1]) + "\r\n"
+        flags = np.empty((n, 0), dtype=np.uint8)
+    b = flags.shape[1]
+    codes = np.packbits(flags, axis=1, bitorder="little")
+    tails = [_flag_tails(min(8, b - j)) for j in range(0, b, 8)]
+    # "%.17g" spells nan and +-inf as fmt_float does
+    row = ",".join(["%.17g"] * a) + "%s" * len(tails) + "\r\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(floats), SWEEP_CSV_BLOCK):
-            stop = start + SWEEP_CSV_BLOCK
-            fh.writelines(
-                row_format.format(*row, *bits)
-                for row, bits in zip(floats[start:stop].tolist(), flags[start:stop].tolist())
-            )
+        for start in range(0, n, SWEEP_CSV_BLOCK):
+            stop = min(start + SWEEP_CSV_BLOCK, n)
+            cells = np.empty((stop - start, a + len(tails)), dtype=object)
+            cells[:, :a] = floats[start:stop]
+            for c, table in enumerate(tails):
+                cells[:, a + c] = table[codes[start:stop, c]]
+            fh.write(row * (stop - start) % tuple(cells.ravel().tolist()))
 
 
 def sweep_summary(result: SweepResult, report: ScalingReport, config_echo: dict | None = None) -> dict:

@@ -145,12 +145,18 @@ class SignalPair:
         exactly 0.0 at the infinite endpoints.
         """
         arr = np.asarray(t, dtype=float)
-        lower = self.g0.cdf(arr) - self.g1.cdf(arr)
-        upper = self.g1.sf(arr) - self.g0.sf(arr)
-        out = np.where(arr <= 0.0, lower, upper)
-        out = np.where(np.isinf(arr), 0.0, out)
-        out = np.maximum(out, 0.0)
+        out = self._gap_terms(arr)[0]
         return float(out) if arr.ndim == 0 else out
+
+    def _gap_terms(self, t: np.ndarray):
+        """``(gap, cdf0, cdf1, sf0, sf1)`` at the array t: the gap as ``gap``
+        computes it, with the four signal values it is computed from, for
+        the payoff and its slope, which need them too."""
+        cdf0, cdf1 = self.g0.cdf(t), self.g1.cdf(t)
+        sf0, sf1 = self.g0.sf(t), self.g1.sf(t)
+        out = np.where(t <= 0.0, cdf0 - cdf1, sf1 - sf0)
+        out = np.where(np.isinf(t), 0.0, out)
+        return np.maximum(out, 0.0), cdf0, cdf1, sf0, sf1
 
 
 def _crossing_brackets(diff: np.ndarray, grid: np.ndarray):
@@ -190,15 +196,6 @@ def _bisect(f, a: float, b: float, falls: bool) -> float:
     return 0.5 * (a + b)
 
 
-def _ratio_scan(g0: ScalarDistribution, g1: ScalarDistribution, grid: np.ndarray):
-    """``(mlrp_ok, increments)``: the increments of ``log_pdf1 - log_pdf0``
-    on the grid, and whether each exceeds MLRP_STRICT_TOL."""
-    # -inf - -inf is nan where both log-densities overflow; that fails the check
-    with np.errstate(invalid="ignore"):
-        increments = np.diff(g1.log_pdf(grid) - g0.log_pdf(grid))
-    return bool(np.all(increments > MLRP_STRICT_TOL)), increments
-
-
 def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
     """The admissibility scan: one pass over the pair's centred window.
 
@@ -214,7 +211,9 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     well-separated signals.
     """
     grid = _scan_grid(g0, g1)
-    mlrp_ok, increments = _ratio_scan(g0, g1, grid)
+    # -inf - -inf is nan where both log-densities overflow; that fails the check
+    with np.errstate(invalid="ignore"):
+        increments = np.diff(g1.log_pdf(grid) - g0.log_pdf(grid))
     min_slope = float(np.min(increments) / (grid[1] - grid[0]))
 
     diff = g0.pdf(grid) - g1.pdf(grid)
@@ -225,7 +224,7 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
         if min(g0.pdf(t), g1.pdf(t)) > PDF_FLOOR:
             location = t
     return AdmissibilityReport(
-        mlrp_ok=mlrp_ok,
+        mlrp_ok=bool(np.all(increments > MLRP_STRICT_TOL)),
         crossing_count=len(brackets),
         crossing_location=location,
         min_ratio_slope=min_slope,
@@ -274,10 +273,9 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
     """Translate both distributions so the density crossing sits at 0.
 
     Requires the monotone-ratio check to pass and takes the crossing from
-    the same scan; the monotone-ratio check alone, not the whole scan, is
-    re-run on the translated pair (translation invariance, cheap insurance
-    against a broken transform).  Idempotent: normalizing a normalized
-    pair records shift 0.
+    the same scan.  The scan is translation invariant (its window follows
+    the pair), so the translated pair is not scanned again.  Idempotent:
+    normalizing a normalized pair records shift 0.
     """
     report = check_mlrp(g0, g1)
     if not report.mlrp_ok:
@@ -286,10 +284,7 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
             f"(min slope {report.min_ratio_slope:.3e}); cannot normalize"
         )
     t_star = _unique_crossing(g0, g1, report)
-    g0n, g1n = g0.shifted(-t_star), g1.shifted(-t_star)
-    if not _ratio_scan(g0n, g1n, _scan_grid(g0n, g1n))[0]:
-        raise AdmissibilityError("monotone ratio lost under translation; numeric fault")
-    return SignalPair(g0=g0n, g1=g1n, shift=t_star)
+    return SignalPair(g0=g0.shifted(-t_star), g1=g1.shifted(-t_star), shift=t_star)
 
 
 def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:

@@ -330,6 +330,20 @@ def test_sweep_csv_matches_row_writer(tmp_path, mode, n):
         assert {b"-0", b"4.9406564584124654e-324", b"inf", b"-inf", b"nan", b"1e+308"} <= cells
 
 
+@pytest.mark.parametrize("b", [0, 1, 8, 9, 17])
+def test_csv_blocks_flag_patterns_match_row_writer(tmp_path, b):
+    """Every pattern of flags, not only the nested ones a tolerance ladder
+    gives, and flag counts on both sides of the 8 that one table covers."""
+    n = SWEEP_CSV_BLOCK + 300
+    rng = np.random.default_rng(b)
+    floats = np.resize(CSV_EDGES, (n, 2))
+    flags = (rng.random((n, b)) < 0.5).view(np.uint8)
+    header = ["u", "v"] + [f"f{j}" for j in range(b)]
+    output._write_csv_blocks(tmp_path / "blocks.csv", header, floats, flags if b else None)
+    write_csv(tmp_path / "rows.csv", header, [[*f, *map(bool, g)] for f, g in zip(floats, flags)])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_equilibrium_csv_matches_row_writer(tmp_path, std_model, monkeypatch):
     """write_equilibrium_csv formats its columns block by block, byte for
     byte as write_csv formats equilibrium_table's rows, edge values included."""

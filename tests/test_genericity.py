@@ -13,6 +13,7 @@ from threshold_lab import (
     FamilyCertificate,
     ModelConfig,
     ParameterBox,
+    SweepResult,
     SweepSpec,
     accuracy_optimal,
     accuracy_thresholds,
@@ -30,6 +31,7 @@ from threshold_lab import (
     sample_parameters,
     scaling_report,
 )
+from threshold_lab import genericity
 from threshold_lab.genericity import VERDICT_CONSISTENT, VERDICT_INCONSISTENT
 
 
@@ -253,17 +255,80 @@ def looped_bootstrap_band(result, n_resamples=200):
     return float(lo), float(hi)
 
 
+def resample_patterns(result, n_resamples=200):
+    """The patterns of positive rungs among the reference loop's resamples."""
+    rng = np.random.default_rng((result.seed, 48879))
+    n = result.n_samples
+    return {
+        tuple(bool(np.any(take < tol)) for tol in result.tolerances)
+        for take in (result.metrics[rng.integers(0, n, n)] for _ in range(n_resamples))
+    }
+
+
 @pytest.mark.parametrize("n", [1, 7, 333, 2000, 4001])
 @pytest.mark.parametrize("seed", [3, 20250810])
 def test_bootstrap_counts_match_mean_loop(std_pair, logistic_location, n, seed):
+    _check_band_matches_loop(std_pair, logistic_location, n, seed, 200)
+
+
+# the block edges: 200 (above) and 203 are not multiples of the bootstrap's
+# block of resamples at n = 333, 2000 or 4001, and 1 and 7 fill less than
+# one block
+@pytest.mark.parametrize("n_resamples", [1, 7, 203])
+@pytest.mark.parametrize("n", [1, 7, 333, 2000, 4001])
+@pytest.mark.parametrize("seed", [3, 20250810])
+def test_bootstrap_block_edges_match_mean_loop(std_pair, logistic_location, n, seed, n_resamples):
+    _check_band_matches_loop(std_pair, logistic_location, n, seed, n_resamples)
+
+
+def _check_band_matches_loop(std_pair, logistic_location, n, seed, n_resamples):
     fam, cert = logistic_location
     spec = make_spec(fam, std_pair, n_samples=n, seed=seed, tolerances=(0.3, 0.1, 0.01, 0.001))
     res = coincidence_fraction(spec, cert)
     # an infinite metric (an infinite accuracy optimum) is below no tolerance
     res = dataclasses.replace(res, metrics=np.where(np.arange(n) % 5 == 4, math.inf, res.metrics))
-    report = scaling_report(res)
-    want = looped_bootstrap_band(res)
+    report = scaling_report(res, n_resamples)
+    want = looped_bootstrap_band(res, n_resamples)
     np.testing.assert_array_equal((report.slope_lo, report.slope_hi), want)
+    assert report.n_resamples == n_resamples
+
+
+def _metrics_report(seed, metrics, tolerances=(0.3, 0.1, 0.01, 0.001)):
+    """A sweep result carrying the given per-sample metrics."""
+    metrics = np.asarray(metrics, dtype=float)
+    n = len(metrics)
+    fractions = tuple(float(np.mean(metrics < tol)) for tol in tolerances)
+    slope, degenerate = fit_loglog_slope(tolerances, fractions)
+    return SweepResult(
+        tolerances=tolerances, fractions=fractions, scaling_slope=slope, degenerate_fit=degenerate,
+        n_samples=n, seed=seed, mode="foc_gap", samples=np.zeros((n, 1)), foc_gaps=metrics,
+        accuracy_thresholds=np.full(n, math.nan), metrics=metrics,
+        certificate=FamilyCertificate(True, True, True, {}),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bootstrap_mixed_rung_patterns_match_mean_loop(seed):
+    """Resamples of one report that keep 2, 3 or 4 positive rungs are
+    fitted in separate groups, and the band is still the loop's."""
+    # one sample below each of the two smallest tolerances, a few below 0.1
+    metrics = np.r_[0.0005, 0.005, np.full(3, 0.05), np.full(15, 0.2), np.full(20, 0.5)]
+    res = _metrics_report(seed, metrics)
+    patterns = resample_patterns(res)
+    assert {sum(p) for p in patterns} >= {2, 3, 4}
+    report = scaling_report(res)
+    np.testing.assert_array_equal((report.slope_lo, report.slope_hi), looped_bootstrap_band(res))
+    assert math.isfinite(report.slope_lo)
+
+
+def test_bootstrap_all_resamples_degenerate_gives_nan_band():
+    """No resample has two positive rungs: the band is nan, as in the loop."""
+    res = _metrics_report(4, np.r_[np.full(30, 0.2), np.full(30, 0.5)])
+    assert resample_patterns(res) == {(True, False, False, False)}
+    report = scaling_report(res)
+    assert math.isnan(report.slope_lo) and math.isnan(report.slope_hi)
+    assert all(math.isnan(v) for v in looped_bootstrap_band(res))
+    assert math.isnan(scaling_report(res, 0).slope_lo)
 
 
 def test_two_parameter_family_slope(std_pair):
@@ -277,6 +342,28 @@ def test_two_parameter_family_slope(std_pair):
                      tolerances=(0.03, 0.01, 0.003, 0.001))
     res = coincidence_fraction(spec, cert)
     assert 0.8 <= res.scaling_slope <= 1.2
+
+
+def single_fit_slope(tolerances, fractions):
+    """Reference: one lstsq per fraction vector, the loop the batched fit replaced."""
+    pts = [(math.log(t), math.log(f)) for t, f in zip(tolerances, fractions) if f > 0.0]
+    if len(pts) < 2:
+        return math.nan
+    x, y = (np.asarray(v) for v in zip(*pts))
+    return float(np.linalg.lstsq(np.vstack([np.ones_like(x), x]).T, y, rcond=None)[0][1])
+
+
+def test_fit_slopes_rows_match_single_fits():
+    """Each row of the grouped fit equals its own solve, bit for bit, for
+    every pattern of zero rungs (not only the prefixes a ladder gives)."""
+    rng = np.random.default_rng(7)
+    tolerances = (0.5, 0.2, 0.05, 0.01, 0.002)
+    fractions = rng.integers(0, 5000, (600, len(tolerances))) / 5000
+    fractions[rng.random(fractions.shape) < 0.3] = 0.0
+    got = genericity._fit_slopes(tolerances, fractions)
+    want = [single_fit_slope(tolerances, row) for row in fractions]
+    np.testing.assert_array_equal(got, want)
+    assert np.isnan(got).any() and len({tuple(row > 0) for row in fractions}) == 2 ** len(tolerances)
 
 
 def test_fit_loglog_slope():

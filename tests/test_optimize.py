@@ -1,5 +1,6 @@
 """Both optima and the coincidence verdict, checked against brute oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from threshold_lab import (
     SignalPair,
     VerificationFailedError,
     accuracy_optimal,
+    accuracy_thresholds,
     compliance_optimal,
     deu_pos,
     equivalence_test,
@@ -26,7 +28,7 @@ from threshold_lab import (
     normal,
     prevalence_pos,
 )
-from threshold_lab.optimize import BISECT_WIDTH, SEARCH_HI, SEARCH_LO, _lookahead_depth, _refine
+from threshold_lab.optimize import BISECT_WIDTH, SEARCH_HI, SEARCH_LO, SEARCH_N, _lookahead_depth, _refine
 
 INF = float("inf")
 
@@ -97,6 +99,24 @@ def test_accuracy_slope_calls_per_bisection(std_model, monkeypatch):
     res = accuracy_optimal(std_model)
     assert res.iterations == 37
     assert shapes == [(1, 2)] + [(1, 255)] * 5
+
+
+def test_accuracy_thresholds_scan_signal_terms_once(std_pair, monkeypatch):
+    """The grid scan evaluates the signal gap (and the signal CDFs with it)
+    on the search grid once per call, not once per block of rows."""
+    fam = location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
+    xs = np.random.default_rng(1).uniform(-3.0, 3.0, (200, 1))
+    shapes = []
+    gap_terms = SignalPair._gap_terms
+
+    def counted(pair, t):
+        shapes.append(np.shape(t))
+        return gap_terms(pair, t)
+
+    monkeypatch.setattr(SignalPair, "_gap_terms", counted)
+    accuracy_thresholds(fam, xs, std_pair, 1.0)
+    assert shapes.count((1, SEARCH_N)) == 1
+    assert all(s[0] == 200 for s in shapes if s != (1, SEARCH_N))
 
 
 def test_accuracy_value_dominates_grid(std_model):
@@ -315,7 +335,7 @@ def test_lookahead_bisection_matches_sequential(n_rows, lo, hi, n):
     for seed in range(4):
         eu, deu = _synthetic_rows(n_rows, lo, hi, n, seed)
         want = _sequential_refine(eu, deu, n_rows, lo, hi, n)
-        got = _refine(eu, deu, n_rows, lo, hi, n)
+        got = _refine(lambda t: functools.partial(eu, t), deu, n_rows, lo, hi, n)
         for name, w, g in zip(("x", "value", "iters", "width", "boundary"), want, got):
             assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), (name, seed)
         if n_rows >= 37 and depth > 1 and lo == -100.0:

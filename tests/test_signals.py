@@ -182,6 +182,18 @@ def test_translation_invariance(index, c):
     assert after.crossing_count == before.crossing_count
 
 
+@pytest.mark.parametrize("index", range(len(suite_pair_specs())))
+@settings(max_examples=10, deadline=None)
+@given(c=st.floats(-1e3, 1e3))
+def test_normalized_pair_keeps_monotone_ratio(index, c):
+    """normalize_pair does not scan the translated pair again: the pair it
+    returns, from any catalog pair moved by up to +-1e3, passes the
+    monotone-ratio check of the scan on its own window."""
+    _, g0, g1 = suite_pair_specs()[index]
+    pair = normalize_pair(g0.shifted(c), g1.shifted(c))
+    assert check_mlrp(pair.g0, pair.g1).mlrp_ok
+
+
 def _looped_brackets(diff, grid):
     """The per-grid-point loop that ``_crossing_brackets`` replaced, as
     ``(a, b, falls)`` items in grid order."""
