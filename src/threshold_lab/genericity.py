@@ -230,7 +230,7 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     smallest-tolerance fraction is below SMALLEST_FRACTION_MAX.  The
     bootstrap resamples the per-sample metrics (seeded from the sweep
     seed, so reruns are bit-identical) and reports the 2.5/97.5 percentile
-    band of the refitted slope.
+    band of the refitted slope.  ``n_resamples`` must be at least 1.
 
     The resamples are drawn in blocks from one generator: a block of b
     resamples is one ``rng.integers(0, n, (b, n))`` call, which yields
@@ -240,6 +240,8 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     the same pattern of positive rungs are refitted with one ``lstsq``
     (see ``_fit_slopes``).
     """
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     rng = np.random.default_rng((result.seed, _BOOTSTRAP_SALT))
     n = result.n_samples
     n_tols = len(result.tolerances)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from threshold_lab import ConfigError, FamilyCertificate, ModelConfig, logistic, normal, normalize_pair
 from threshold_lab.cli import DEMO_CONFIG
@@ -284,7 +285,20 @@ def test_write_csv_quoting(tmp_path):
     assert rows[2] == ["plain", "1"]
 
 
-CSV_EDGES = np.array([-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1e308])
+_POW10 = 10.0 ** np.arange(-4, 15)
+CSV_EDGES = np.concatenate([
+    [-0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1e308],
+    # the ends of the range printed in fixed notation, each with its neighbours
+    [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e15, np.nextafter(1e15, 0), np.nextafter(1e15, 2e15)],
+    # %.17g prints up to 17 integer digits in fixed notation too
+    [1e16, np.nextafter(1e16, 0), 1e17, np.nextafter(1e17, 0)],
+    # 10**k and one ulp either side, k = -4 .. 14, and their negatives
+    _POW10, np.nextafter(_POW10, 0), np.nextafter(_POW10, np.inf), -_POW10,
+    # halfway between two 17-digit decimals: %.17g rounds to the even one
+    [12345678901234.0625, 123456789012345.125, -123456789012345.375],
+    # doubles just below a decade (none rounds up into it at 17 digits), and a 24-byte cell
+    [9.9999999999999995e-05, 99999999999999.99, -1.7976931348623157e308],
+])
 
 
 def _row_writer_sweep_csv(path, result):
@@ -342,6 +356,51 @@ def test_csv_blocks_flag_patterns_match_row_writer(tmp_path, b):
     output._write_csv_blocks(tmp_path / "blocks.csv", header, floats, flags if b else None)
     write_csv(tmp_path / "rows.csv", header, [[*f, *map(bool, g)] for f, g in zip(floats, flags)])
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_csv_blocks_without_fast_cells_and_with_only_fast_cells(tmp_path):
+    """A block where every cell takes the one-% path, then blocks where
+    every cell takes the integer-digit path."""
+    ax = np.abs(CSV_EDGES)
+    in_range = (ax >= 1e-4) & (ax < 1e15)
+    slow = np.resize(CSV_EDGES[~in_range], (SWEEP_CSV_BLOCK, 3))
+    fast = np.random.default_rng(3).uniform(-1e3, 1e3, (SWEEP_CSV_BLOCK + 37, 3))
+    fast[: in_range.sum() // 3] = CSV_EDGES[in_range][: in_range.sum() // 3 * 3].reshape(-1, 3)
+    floats = np.vstack([slow, fast])
+    header = ["a", "b", "c"]
+    output._write_csv_blocks(tmp_path / "blocks.csv", header, floats)
+    write_csv(tmp_path / "rows.csv", header, floats.tolist())
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_xy_matches_fmt_float_lines(tmp_path):
+    xs = np.resize(CSV_EDGES, 2 * SWEEP_CSV_BLOCK + 37)
+    ys = np.roll(xs, 3)
+    write_xy(tmp_path / "xy.dat", xs, ys, labels=("t", "eu_pos"))
+    want = "# t eu_pos\n" + "".join(f"{fmt_float(x)} {fmt_float(y)}\n" for x, y in zip(xs, ys))
+    assert (tmp_path / "xy.dat").read_bytes() == want.encode()
+
+
+#: bit patterns of the doubles from 1e-5 to 1e17: the fixed-notation range and past both its ends
+_NEAR_FAST_BITS = (int(np.float64(1e-5).view(np.uint64)), int(np.float64(1e17).view(np.uint64)))
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1),
+            st.tuples(st.integers(*_NEAR_FAST_BITS), st.booleans()).map(lambda t: t[0] | t[1] << 63),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_block_cells_match_fmt_float(bits):
+    """Every float64 bit pattern is written as fmt_float writes it (the
+    drawn values repeated to a block big enough for the integer path)."""
+    values = np.resize(np.array(bits, dtype=np.uint64).view(np.float64), output._MIN_FAST_CELLS)
+    text = output._text_block(values[:, None], [], ",", "\n").tobytes().decode()
+    assert text.split("\n")[:-1] == [fmt_float(v) for v in values]
 
 
 def test_equilibrium_csv_matches_row_writer(tmp_path, std_model, monkeypatch):

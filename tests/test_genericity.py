@@ -328,7 +328,15 @@ def test_bootstrap_all_resamples_degenerate_gives_nan_band():
     report = scaling_report(res)
     assert math.isnan(report.slope_lo) and math.isnan(report.slope_hi)
     assert all(math.isnan(v) for v in looped_bootstrap_band(res))
-    assert math.isnan(scaling_report(res, 0).slope_lo)
+
+
+@pytest.mark.parametrize("n_resamples", [0, -1])
+def test_scaling_report_rejects_fewer_than_one_resample(n_resamples):
+    """No resample would give a nan band reported as a bootstrap, and a
+    negative count would fail inside numpy without naming the argument."""
+    res = _metrics_report(4, np.r_[np.full(30, 0.2), np.full(30, 0.5)])
+    with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+        scaling_report(res, n_resamples)
 
 
 def test_two_parameter_family_slope(std_pair):

@@ -2,11 +2,12 @@
 
 The other byte-identity tests compare two paths of the current code with
 each other; these compare the files with sha256 digests recorded before
-the sweep's bootstrap, grid scan and CSV writer were batched, so a change
-that alters any output byte of a sweep or of the equilibrium table fails
-here.  To re-record after an intended output change, print
-``_sweep_digests(tmp)`` and ``_equilibrium_digest(tmp)`` and say why in
-CHANGES.md.
+the sweep's bootstrap, grid scan and CSV writer were batched (and, for
+``eu_curve.dat``, before ``write_xy`` went through the block writer), so
+a change that alters any output byte of a sweep or of the equilibrium
+command fails here.  To re-record after an intended output change, print
+``_sweep_digests(tmp)`` and ``_equilibrium_digest(tmp, name)`` and say
+why in CHANGES.md.
 """
 
 import hashlib
@@ -81,6 +82,8 @@ GOLDEN_SWEEPS = {
 
 #: the equilibrium command's CSV on the demo model and its default grid
 GOLDEN_EQUILIBRIUM = "2e3df88ac211a3d2a805ba4f2e4e1997bc9471b77dde702b59aa6fe725ab7338"
+#: the same command's eu_curve.dat
+GOLDEN_EU_CURVE = "e8821fadfb63ac24084867918cfa1419a58d046bcf3d84e1abcfebf0e7568f48"
 
 
 def _sha256(path) -> str:
@@ -103,11 +106,11 @@ def _sweep_digests(tmp_path, kind, mode, seed):
     return {f"{kind}/{mode}/{seed}/{name}": _sha256(out / name) for name in FILES}
 
 
-def _equilibrium_digest(tmp_path):
+def _equilibrium_digest(tmp_path, name="equilibrium.csv"):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(DEMO_CONFIG))
     assert main(["equilibrium", "--config", str(path), "--out", str(tmp_path)]) == 0
-    return _sha256(tmp_path / "equilibrium.csv")
+    return _sha256(tmp_path / name)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -120,3 +123,7 @@ def test_sweep_outputs_match_golden_digests(tmp_path, capsys, kind, mode, seed):
 
 def test_equilibrium_csv_matches_golden_digest(tmp_path, capsys):
     assert _equilibrium_digest(tmp_path) == GOLDEN_EQUILIBRIUM
+
+
+def test_eu_curve_matches_golden_digest(tmp_path, capsys):
+    assert _equilibrium_digest(tmp_path, "eu_curve.dat") == GOLDEN_EU_CURVE
