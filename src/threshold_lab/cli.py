@@ -192,6 +192,8 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _with_flags(load_config(args.config), {"equivalence_tolerance": args.tol})
+    if cfg.reward <= 0.0:
+        raise ConfigError(f"config.reward: optimize requires reward > 0, got {cfg.reward!r}")
     pair = _build_pair(cfg)
     model = ModelConfig(pair=pair, cost=_require_cost(cfg), reward=cfg.reward)
     compliance = compliance_optimal(model)
@@ -222,6 +224,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
+    if cfg.reward == 0.0:
+        raise ConfigError(f"config.reward: sweep requires a nonzero reward, got {cfg.reward!r}")
     pair = _build_pair(cfg)
     family = _require_family(cfg)
     cert = certify(family)

@@ -1,9 +1,14 @@
 """Semantic exception hierarchy for threshold_lab.
 
-Public functions never raise bare ValueError/RuntimeError for domain
-failures; everything catchable derives from ThresholdLabError so callers
-(and the CLI exit-code mapping) can distinguish validation problems from
-numeric guardrail failures.
+Domain failures (bad configs and distributions, inadmissible pairs,
+out-of-box parameters, a missing certificate, numeric guardrails) derive
+from ThresholdLabError, so callers (and the CLI exit-code mapping) can
+tell validation problems from numeric guardrail failures.  Argument
+checks of library calls raise a bare ValueError instead:
+``compliance_optimal`` (reward <= 0), ``SweepSpec``, ``ModelConfig``,
+``equivalence_verdict``, ``scaling_report`` and ``check_responsiveness``.
+The CLI checks the config values that reach those calls first, so a bad
+config value exits 1 with its field path instead of one of these errors.
 """
 
 

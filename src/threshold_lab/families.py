@@ -393,11 +393,11 @@ def check_responsiveness(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 
     }
 
 
-def certify(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 200, seed: int = 0) -> FamilyCertificate:
-    """Run all three structural checks and bundle the evidence."""
-    smooth_ok, smooth_ev = check_smoothness(fam, seed=seed)
-    linear_ok, linear_ev = check_linearity(fam, seed=seed)
-    responsive_ok, resp_ev = check_responsiveness(fam, epsilon=epsilon, n_probe=n_probe, seed=seed)
+def certify(fam: CostFamily) -> FamilyCertificate:
+    """Run all three structural checks at their defaults and bundle the evidence."""
+    smooth_ok, smooth_ev = check_smoothness(fam)
+    linear_ok, linear_ev = check_linearity(fam)
+    responsive_ok, resp_ev = check_responsiveness(fam)
     return FamilyCertificate(
         smooth_ok=smooth_ok,
         linear_ok=linear_ok,

@@ -109,8 +109,9 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def compliance_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_HI, n: int = SEARCH_N) -> OptResult:
-    """Threshold 0 by closed form, cross-checked on the grid.
+def compliance_optimal(m: ModelConfig) -> OptResult:
+    """Threshold 0 by closed form, cross-checked on the SEARCH_N-point
+    grid over [SEARCH_LO, SEARCH_HI].
 
     Requires r > 0 (for negative rewards the roles of the rules flip and
     the closed form does not apply).  Raises VerificationFailedError if
@@ -120,7 +121,7 @@ def compliance_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH
     if m.reward <= 0.0:
         raise ValueError("compliance_optimal requires reward > 0")
     at_zero = prevalence_pos(m, 0.0)
-    candidates = prevalence_pos(m, _grid(lo, hi, n))
+    candidates = prevalence_pos(m, _grid(SEARCH_LO, SEARCH_HI, SEARCH_N))
     endpoints = prevalence_pos(m, np.array([-math.inf, math.inf]))
     best = float(max(np.max(candidates), np.max(endpoints)))
     if best > at_zero + GUARDRAIL_SLACK:
@@ -254,19 +255,11 @@ def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_H
     )
 
 
-def accuracy_thresholds(
-    family: CostFamily,
-    samples,
-    pair: SignalPair,
-    reward: float,
-    lo: float = SEARCH_LO,
-    hi: float = SEARCH_HI,
-    n: int = SEARCH_N,
-) -> np.ndarray:
+def accuracy_thresholds(family: CostFamily, samples, pair: SignalPair, reward: float) -> np.ndarray:
     """Accuracy-optimal threshold of every family member, shape (n_samples,).
 
     Element i is bit-identical to ``accuracy_optimal(ModelConfig(pair,
-    family.instantiate(samples[i]), reward), lo, hi, n).threshold``: the
+    family.instantiate(samples[i]), reward)).threshold``: the
     same refiner runs on all rows at once, with the cost evaluated by
     ``family.cdf_at``/``pdf_at``, which keep ``instantiate``'s box check.
     """
@@ -278,7 +271,7 @@ def accuracy_thresholds(
         return _deu_pos(pair, reward, lambda u: family.cdf_at(u, xs), lambda u: family.pdf_at(u, xs), t)
 
     eu_at = _payoff_at(pair, reward, lambda u, rows: family.cdf_at(u, xs[rows]))
-    return _refine(eu_at, deu, len(xs), lo, hi, n)[0]
+    return _refine(eu_at, deu, len(xs), SEARCH_LO, SEARCH_HI, SEARCH_N)[0]
 
 
 def equivalence_verdict(

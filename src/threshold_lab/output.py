@@ -5,17 +5,20 @@ IEEE doubles exactly: ``float(format(x)) == x``.  ``fmt_float`` and
 ``write_csv`` format one value at a time and are the reference.  The
 sweep CSV, the equilibrium CSV and the two-column tables go through
 ``_write_csv_blocks`` instead, which writes the same bytes a block of
-rows at a time: cells that %.17g prints in fixed notation get their
-digits from integer arithmetic, the others go through one ``%`` per
-block.  Sweep outputs contain no timestamps or absolute paths, so
-identical configurations produce byte-identical files.
+rows at a time.  A row there is its float cells, then a tail of bytes
+the caller made, then the row end: cells that %.17g prints in fixed
+notation get their digits from integer arithmetic, the other cells go
+through one ``%`` per block, and the sweep CSV's tail is the text of
+its coincidence flags (and of an all-nan ``accuracy_t`` column), looked
+up by each sample's level.  Sweep outputs contain no timestamps or
+absolute paths, so identical configurations produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import math
 from pathlib import Path
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import ModelConfig, deu_pos, eu_pos, prevalence_neg, prevalence_pos
-from .genericity import ScalingReport, SweepResult
+from .genericity import ScalingReport, SweepResult, coincidence_levels
 
 __all__ = [
     "fmt_float",
@@ -100,7 +103,8 @@ def equilibrium_table(m: ModelConfig, ts: np.ndarray):
 
 def write_equilibrium_csv(path, m: ModelConfig, ts: np.ndarray) -> None:
     """``write_csv`` of ``equilibrium_table(m, ts)``, byte for byte."""
-    _write_csv_blocks(path, EQUILIBRIUM_COLUMNS, np.column_stack(_equilibrium_columns(m, ts)))
+    header = ",".join(EQUILIBRIUM_COLUMNS) + "\r\n"
+    _write_csv_blocks(path, header, np.column_stack(_equilibrium_columns(m, ts)))
 
 
 #: rows formatted per write in the block CSV writers; bounds the text held in memory
@@ -110,14 +114,24 @@ SWEEP_CSV_BLOCK = 1024
 def write_sweep_csv(path, result: SweepResult) -> None:
     """Per-sample records: parameters, both metrics, coincidence flags."""
     k = result.samples.shape[1]
-    header = (
+    m = len(result.tolerances)
+    names = (
         [f"x_{i + 1}" for i in range(k)]
         + ["foc_gap", "accuracy_t"]
         + [f"coincident@{tol:g}" for tol in result.tolerances]
     )
-    floats = np.column_stack([result.samples, result.foc_gaps, result.accuracy_thresholds])
-    flags = np.column_stack([result.metrics < tol for tol in result.tolerances]).view(np.uint8)
-    _write_csv_blocks(path, header, floats, flags)
+    floats = [result.samples, result.foc_gaps]
+    head = b""
+    if np.isnan(result.accuracy_thresholds).all():
+        head = b",nan"  # the same text in every row, as in every foc_gap sweep
+    else:
+        floats.append(result.accuracy_thresholds)
+    # row L: the flags of a sample of level L, whose metric is below the
+    # first L rungs of the descending ladder and no others
+    table = b"".join(head + b",1" * level + b",0" * (m - level) for level in range(m + 1))
+    table = np.frombuffer(table, dtype=np.uint8).reshape(m + 1, -1)
+    tails = table[coincidence_levels(result.metrics, result.tolerances)]
+    _write_csv_blocks(path, ",".join(names) + "\r\n", np.column_stack(floats), tails)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +141,7 @@ def write_sweep_csv(path, result: SweepResult) -> None:
 #: gets this many, and the bytes it does not fill are _PAD
 _CELL = 24
 #: filler byte, dropped before a block is written; no cell, separator,
-#: flag or row end contains it
+#: tail or row end contains it
 _PAD = 0
 
 # Constants that ufuncs meet are 0-d arrays: numpy takes them faster than
@@ -259,16 +273,8 @@ def _fast_text(v: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _flag_tails(m: int) -> np.ndarray:
-    """The bytes ",f_1,...,f_m" of every pattern of m <= 8 flags, indexed
-    by its little-endian bit code: a (2**m, 2m) uint8 table."""
-    bits = np.arange(2**m)[:, None] >> np.arange(m) & 1
-    return np.stack([np.full_like(bits, ord(",")), bits + ord("0")], axis=2).reshape(2**m, 2 * m).astype(np.uint8)
-
-
-@functools.cache
 def _row_template(a: int, width: int, sep: str, eol: str) -> np.ndarray:
-    """A row of a block before its cells and flags go in: _PAD, a separator
+    """A row of a block before its cells and tail go in: _PAD, a separator
     after each of the first a - 1 cells, and eol at the end."""
     row = np.full(width, _PAD, dtype=np.uint8)
     row[_CELL : (a - 1) * (_CELL + 1) : _CELL + 1] = ord(sep)
@@ -276,15 +282,15 @@ def _row_template(a: int, width: int, sep: str, eol: str) -> np.ndarray:
     return row
 
 
-def _text_block(floats: np.ndarray, tails, sep: str, eol: str) -> np.ndarray:
+def _text_block(floats: np.ndarray, tails: np.ndarray, sep: str, eol: str) -> np.ndarray:
     """The bytes of rows of an (r, a) float block: cells joined by sep,
-    then each row's flag text from tails (one (r, 2m) byte matrix per
-    group of flags), then eol."""
+    then the row's bytes from the (r, w) uint8 matrix tails, then eol."""
     r, a = floats.shape
-    width = a * (_CELL + 1) + sum(t.shape[1] for t in tails) + len(eol)
+    col = a * (_CELL + 1)
+    width = col + tails.shape[1] + len(eol)
     out = np.empty((r, width), dtype=np.uint8)
     out[:] = _row_template(a, width, sep, eol)
-    cells = out[:, : a * (_CELL + 1)].reshape(r, a, _CELL + 1)
+    cells = out[:, :col].reshape(r, a, _CELL + 1)
     if floats.size < _MIN_FAST_CELLS:
         fast = np.zeros((r, a), dtype=bool)
     else:
@@ -297,28 +303,27 @@ def _text_block(floats: np.ndarray, tails, sep: str, eol: str) -> np.ndarray:
         cells[slow, :_CELL] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _CELL)
     if len(others) < fast.size:
         cells[fast, :_CELL] = _fast_text(floats[fast])
-    col = a * (_CELL + 1)
-    for t in tails:
-        out[:, col : col + t.shape[1]] = t
-        col += t.shape[1]
+    out[:, col : width - len(eol)] = tails
     out = out.ravel()
     return out[out != _PAD_BYTE]
 
 
 def _write_csv_blocks(
-    path, header, floats: np.ndarray, flags: np.ndarray | None = None, sep: str = ",", eol: str = "\r\n"
+    path, header: str, floats: np.ndarray, tails: np.ndarray | None = None, sep: str = ",", eol: str = "\r\n"
 ) -> None:
-    """Text of an (n, a) float matrix, then an (n, b) 0/1 flag matrix, per row.
+    """``header``, then one line per row of an (n, a) float matrix: the
+    row's cells joined by sep, the row of an (n, w) uint8 matrix ``tails``
+    (none when it is None), then eol.
 
-    ``header`` is the first line as text, or its column names, written as
-    one CSV row.  With the defaults the file is byte-identical to
-    ``write_csv`` over the same rows (fmt_float cells, "1"/"0" flags,
-    ``\\r\\n`` row ends); ``write_xy`` passes sep=" " and eol="\\n".
+    With the defaults the file is byte-identical to ``write_csv`` over the
+    same rows (fmt_float cells, ``\\r\\n`` row ends) when ``header`` and the
+    tails are the text ``write_csv`` gives the other columns;
+    ``write_xy`` passes sep=" " and eol="\\n".
 
     SWEEP_CSV_BLOCK rows are laid out at a time in one uint8 matrix, each
     cell in a _CELL-byte field padded with _PAD, and written with one
-    ``write`` of the bytes that are not _PAD.  A cell's text is
-    ``format(v, ".17g")``, made in one of two ways:
+    ``write`` of the bytes that are not _PAD (no tail may contain it).  A
+    cell's text is ``format(v, ".17g")``, made in one of two ways:
 
     * in a block of at least _MIN_FAST_CELLS cells, a finite v with
       1e-4 <= |v| < 1e15, which %.17g prints in fixed notation: 16 - X
@@ -335,28 +340,17 @@ def _write_csv_blocks(
       every cell of a smaller block) is formatted by one ``%`` of
       "%-24.17g" per block, whose space padding becomes _PAD; "%.17g"
       spells nan and +-inf as fmt_float does.
-
-    The flags of a row are written as their bytes from a table of the
-    2**8 patterns of 8 flags, indexed by the byte that ``np.packbits``
-    makes of each run of up to 8 flags.
     """
-    n, a = floats.shape
-    b = 0 if flags is None else flags.shape[1]
-    if b:
-        codes = np.packbits(flags, axis=1, bitorder="little")
-    tails = [_flag_tails(min(8, b - j)) for j in range(0, b, 8)]
-    if not isinstance(header, str):
-        line = io.StringIO()
-        csv.writer(line).writerow(header)
-        header = line.getvalue()
+    n = len(floats)
+    if tails is None:
+        tails = np.empty((n, 0), dtype=np.uint8)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(header.encode("utf-8"))
         for start in range(0, n, SWEEP_CSV_BLOCK):
             stop = min(start + SWEEP_CSV_BLOCK, n)
-            rows = [table[codes[start:stop, c]] for c, table in enumerate(tails)]
-            fh.write(_text_block(floats[start:stop], rows, sep, eol))
+            fh.write(_text_block(floats[start:stop], tails[start:stop], sep, eol))
 
 
 def sweep_summary(result: SweepResult, report: ScalingReport, config_echo: dict | None = None) -> dict:

@@ -78,6 +78,32 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config.cost: required for this command")
 
 
+@pytest.mark.parametrize(
+    "command, reward, message",
+    [
+        ("optimize", 0.0, "optimize requires reward > 0, got 0.0"),
+        ("optimize", -1.0, "optimize requires reward > 0, got -1.0"),
+        ("sweep", 0.0, "sweep requires a nonzero reward, got 0.0"),
+    ],
+)
+def test_unusable_reward_exits_1(tmp_path, capsys, command, reward, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MODEL_CONFIG, **SWEEP_CONFIG, "reward": reward}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config.reward: {message}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reward", [0.0, -1.0])
+def test_equilibrium_and_check_accept_any_finite_reward(tmp_path, capsys, reward):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MODEL_CONFIG, **SWEEP_CONFIG, "reward": reward}))
+    for command in ("equilibrium", "check"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
 def test_unreadable_config_exits_1(tmp_path, capsys, kind):
     path = tmp_path

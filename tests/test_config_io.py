@@ -15,7 +15,7 @@ from threshold_lab import ConfigError, FamilyCertificate, ModelConfig, logistic,
 from threshold_lab.cli import DEMO_CONFIG
 from threshold_lab.config import DEFAULTS, load_config, load_config_dict
 from threshold_lab.genericity import SweepResult
-from threshold_lab import output
+from threshold_lab import genericity, output
 from threshold_lab.output import (
     EQUILIBRIUM_COLUMNS,
     SWEEP_CSV_BLOCK,
@@ -314,6 +314,25 @@ def _row_writer_sweep_csv(path, result):
     write_csv(path, header, rows)
 
 
+def _sweep_result(mode, samples, focs, accs, metrics, tolerances):
+    n = len(samples)
+    return SweepResult(
+        tolerances=tolerances,
+        fractions=tuple(float(np.mean(metrics < t)) for t in tolerances),
+        scaling_slope=1.0, degenerate_fit=False, n_samples=n, seed=0, mode=mode,
+        samples=samples, foc_gaps=focs, accuracy_thresholds=accs, metrics=metrics,
+        certificate=FamilyCertificate(True, True, True, {}),
+    )
+
+
+def _assert_sweep_csv_matches_row_writer(tmp_path, result):
+    write_sweep_csv(tmp_path / "blocks.csv", result)
+    _row_writer_sweep_csv(tmp_path / "rows.csv", result)
+    text = (tmp_path / "blocks.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    return text
+
+
 @pytest.mark.parametrize("mode", ["foc_gap", "threshold_distance"])
 @pytest.mark.parametrize("n", [5, SWEEP_CSV_BLOCK, 2 * SWEEP_CSV_BLOCK + 37])
 def test_sweep_csv_matches_row_writer(tmp_path, mode, n):
@@ -326,36 +345,36 @@ def test_sweep_csv_matches_row_writer(tmp_path, mode, n):
     accs = np.full(n, np.nan) if mode == "foc_gap" else rng.normal(scale=0.1, size=n)
     if mode == "threshold_distance":
         accs[::7] = np.resize(edges, accs[::7].shape)
-    tolerances = (0.1, 0.01, 0.001)
     metrics = np.abs(focs if mode == "foc_gap" else accs)
-    result = SweepResult(
-        tolerances=tolerances,
-        fractions=tuple(float(np.mean(metrics < t)) for t in tolerances),
-        scaling_slope=1.0, degenerate_fit=False, n_samples=n, seed=0, mode=mode,
-        samples=samples, foc_gaps=focs, accuracy_thresholds=accs, metrics=metrics,
-        certificate=FamilyCertificate(True, True, True, {}),
-    )
-    write_sweep_csv(tmp_path / "blocks.csv", result)
-    _row_writer_sweep_csv(tmp_path / "rows.csv", result)
-    text = (tmp_path / "blocks.csv").read_bytes()
-    assert text == (tmp_path / "rows.csv").read_bytes()
+    result = _sweep_result(mode, samples, focs, accs, metrics, (0.1, 0.01, 0.001))
+    text = _assert_sweep_csv_matches_row_writer(tmp_path, result)
     if n > len(edges):  # every edge value made it into the file
         cells = set(text.replace(b"\r\n", b",").split(b","))
         assert {b"-0", b"4.9406564584124654e-324", b"inf", b"-inf", b"nan", b"1e+308"} <= cells
 
 
-@pytest.mark.parametrize("b", [0, 1, 8, 9, 17])
-def test_csv_blocks_flag_patterns_match_row_writer(tmp_path, b):
-    """Every pattern of flags, not only the nested ones a tolerance ladder
-    gives, and flag counts on both sides of the 8 that one table covers."""
+@pytest.mark.parametrize("rungs", [1, 8, 9, 17])
+def test_sweep_csv_ladders_match_row_writer(tmp_path, rungs):
+    """Ladders on both sides of 8 rungs, in both modes, over two blocks:
+    metrics at every level, exactly on each rung, nan, +-inf and -0.0, and
+    threshold_distance rows with +-inf accuracy_t."""
+    tolerances = tuple(np.geomspace(1.0, 1e-4, rungs).tolist())
+    tols = np.array(tolerances)
+    between = np.sqrt(tols[1:] * tols[:-1])  # one value at each level 1 .. rungs - 1
+    values = np.r_[tols, between, 2.0, tols[-1] / 2, np.nan, np.inf, -np.inf, -0.0, 0.0]
     n = SWEEP_CSV_BLOCK + 300
-    rng = np.random.default_rng(b)
-    floats = np.resize(CSV_EDGES, (n, 2))
-    flags = (rng.random((n, b)) < 0.5).view(np.uint8)
-    header = ["u", "v"] + [f"f{j}" for j in range(b)]
-    output._write_csv_blocks(tmp_path / "blocks.csv", header, floats, flags if b else None)
-    write_csv(tmp_path / "rows.csv", header, [[*f, *map(bool, g)] for f, g in zip(floats, flags)])
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    rng = np.random.default_rng(rungs)
+    metrics = rng.permutation(np.resize(values, n))
+    levels = genericity.coincidence_levels(metrics, tolerances)
+    assert np.all(np.bincount(levels, minlength=rungs + 1) > 0)
+    samples = np.resize(CSV_EDGES, (n, 2))
+    signed = rng.choice([-1.0, 1.0], n) * metrics
+    assert np.isposinf(signed).any() and np.isneginf(signed).any()
+    # the last result is built by hand: the writer goes by the column's
+    # values, not by the mode, so it writes them
+    for mode, accs in [("foc_gap", np.full(n, np.nan)), ("threshold_distance", signed), ("foc_gap", signed)]:
+        result = _sweep_result(mode, samples, signed, accs, metrics, tolerances)
+        _assert_sweep_csv_matches_row_writer(tmp_path, result)
 
 
 def test_csv_blocks_without_fast_cells_and_with_only_fast_cells(tmp_path):
@@ -367,9 +386,8 @@ def test_csv_blocks_without_fast_cells_and_with_only_fast_cells(tmp_path):
     fast = np.random.default_rng(3).uniform(-1e3, 1e3, (SWEEP_CSV_BLOCK + 37, 3))
     fast[: in_range.sum() // 3] = CSV_EDGES[in_range][: in_range.sum() // 3 * 3].reshape(-1, 3)
     floats = np.vstack([slow, fast])
-    header = ["a", "b", "c"]
-    output._write_csv_blocks(tmp_path / "blocks.csv", header, floats)
-    write_csv(tmp_path / "rows.csv", header, floats.tolist())
+    output._write_csv_blocks(tmp_path / "blocks.csv", "a,b,c\r\n", floats)
+    write_csv(tmp_path / "rows.csv", ["a", "b", "c"], floats.tolist())
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -399,7 +417,8 @@ def test_block_cells_match_fmt_float(bits):
     """Every float64 bit pattern is written as fmt_float writes it (the
     drawn values repeated to a block big enough for the integer path)."""
     values = np.resize(np.array(bits, dtype=np.uint64).view(np.float64), output._MIN_FAST_CELLS)
-    text = output._text_block(values[:, None], [], ",", "\n").tobytes().decode()
+    no_tail = np.empty((len(values), 0), dtype=np.uint8)
+    text = output._text_block(values[:, None], no_tail, ",", "\n").tobytes().decode()
     assert text.split("\n")[:-1] == [fmt_float(v) for v in values]
 
 

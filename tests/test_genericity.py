@@ -4,8 +4,11 @@ import dataclasses
 import itertools
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import DELTA0, PHI1_PDF, logistic_cdf
 from threshold_lab import (
@@ -305,6 +308,35 @@ def _metrics_report(seed, metrics, tolerances=(0.3, 0.1, 0.01, 0.001)):
         accuracy_thresholds=np.full(n, math.nan), metrics=metrics,
         certificate=FamilyCertificate(True, True, True, {}),
     )
+
+
+_LADDERS = st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=17, unique=True).map(
+    lambda tols: tuple(sorted(tols, reverse=True))
+)
+
+
+@given(
+    _LADDERS.flatmap(
+        lambda tols: st.tuples(st.just(tols), st.lists(st.one_of(st.sampled_from(tols), st.floats()), min_size=1))
+    )
+)
+def test_levels_and_fractions_match_the_masks(std_pair, logistic_location, ladder_and_focs):
+    """On descending ladders of 1 to 17 rungs, level > j is metric < tol_j
+    (nan, +-inf, -0.0 and metrics on a rung included), and the sweep's
+    fractions are np.mean of those masks, bit for bit."""
+    tolerances, focs = ladder_and_focs
+    focs = np.array(focs)
+    levels = genericity.coincidence_levels(focs, tolerances)
+    for j, tol in enumerate(tolerances):
+        np.testing.assert_array_equal(levels > j, focs < tol)
+    fam, cert = logistic_location
+    spec = make_spec(fam, std_pair, n_samples=len(focs), tolerances=tolerances)
+    with mock.patch.object(genericity, "_foc_at_zero", lambda pair, reward, cdf: focs):
+        res = coincidence_fraction(spec, cert)
+    metrics = np.abs(focs)
+    np.testing.assert_array_equal(res.metrics, metrics)
+    want = tuple(float(np.mean(metrics < tol)) for tol in tolerances)
+    assert res.fractions == want and all(type(f) is float for f in res.fractions)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

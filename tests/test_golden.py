@@ -2,12 +2,14 @@
 
 The other byte-identity tests compare two paths of the current code with
 each other; these compare the files with sha256 digests recorded before
-the sweep's bootstrap, grid scan and CSV writer were batched (and, for
-``eu_curve.dat``, before ``write_xy`` went through the block writer), so
-a change that alters any output byte of a sweep or of the equilibrium
-command fails here.  To re-record after an intended output change, print
-``_sweep_digests(tmp)`` and ``_equilibrium_digest(tmp, name)`` and say
-why in CHANGES.md.
+the sweep's bootstrap, grid scan and CSV writer were batched (for
+``eu_curve.dat``, before ``write_xy`` went through the block writer; for
+the nine-rung ladder, before the writer took a sample's flags as one
+coincidence level), so a change that alters any output byte of a sweep
+or of the equilibrium command fails here.  To re-record after an
+intended output change, print ``_sweep_digests(tmp)``, the nine-rung
+test's ``got`` and ``_equilibrium_digest(tmp, name)`` and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -80,6 +82,17 @@ GOLDEN_SWEEPS = {
     "mixture_linear/threshold_distance/20250810/fractions.dat": "2a425dc3b32650782dc984dae0054000fb4302ac0d2b1cec5af9543f0b438471",
 }
 
+#: a 9-rung ladder, one flag past the 8 that the writer once handled per
+#: byte, over more than one 1024-row block: location_scale, 1100 samples,
+#: seed 5; together the two modes put samples at every level 0 .. 9
+LADDER9 = [1.0, 0.3, 0.1, 0.05, 0.03, 0.02, 0.01, 0.003, 0.001]
+GOLDEN_LADDER9 = {
+    "foc_gap/samples.csv": "d45af6a5be83e38b794563c7334797342b8079a36e358252046f747d0bfc0865",
+    "foc_gap/summary.json": "1df9f24d9874e0fe629d436f6c1bfc80721be1e8e0ac10ab4bbcd319c822a358",
+    "threshold_distance/samples.csv": "6e66eaa4d76dccd5100bacca1e4aeb5435d9a4c007b4844f511b6a57ac261004",
+    "threshold_distance/summary.json": "5c6ba3bfcc7a2f7ca713e2144dbc9e3e8cb270f412a9a257cfef34eb5be704fb",
+}
+
 #: the equilibrium command's CSV on the demo model and its default grid
 GOLDEN_EQUILIBRIUM = "2e3df88ac211a3d2a805ba4f2e4e1997bc9471b77dde702b59aa6fe725ab7338"
 #: the same command's eu_curve.dat
@@ -90,19 +103,24 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _sweep_digests(tmp_path, kind, mode, seed):
+def _run_sweep(tmp_path, kind, mode, seed, n_samples=300, tolerances=(0.1, 0.01, 0.001)):
     config = {
         "signal_pair": DEMO_CONFIG["signal_pair"],
         "cost": LOGISTIC,
         "cost_family": FAMILIES[kind],
         "reward": 1.0,
-        "sweep": {"n_samples": 300, "tolerances": [0.1, 0.01, 0.001]},
+        "sweep": {"n_samples": n_samples, "tolerances": list(tolerances)},
     }
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     argv = ["sweep", "--config", str(path), "--mode", mode, "--seed", str(seed), "--out", str(out)]
     assert main(argv) == 0
+    return out
+
+
+def _sweep_digests(tmp_path, kind, mode, seed):
+    out = _run_sweep(tmp_path, kind, mode, seed)
     return {f"{kind}/{mode}/{seed}/{name}": _sha256(out / name) for name in FILES}
 
 
@@ -119,6 +137,13 @@ def _equilibrium_digest(tmp_path, name="equilibrium.csv"):
 def test_sweep_outputs_match_golden_digests(tmp_path, capsys, kind, mode, seed):
     got = _sweep_digests(tmp_path, kind, mode, seed)
     assert got == {key: GOLDEN_SWEEPS[key] for key in got}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_nine_rung_sweep_matches_golden_digests(tmp_path, capsys, mode):
+    out = _run_sweep(tmp_path, "location_scale", mode, 5, n_samples=1100, tolerances=LADDER9)
+    got = {f"{mode}/{name}": _sha256(out / name) for name in ("samples.csv", "summary.json")}
+    assert got == {key: GOLDEN_LADDER9[key] for key in got}
 
 
 def test_equilibrium_csv_matches_golden_digest(tmp_path, capsys):
