@@ -44,7 +44,6 @@ from .families import (
     FamilyCertificate,
     ParameterBox,
     certify,
-    check_linearity,
     check_responsiveness,
     check_smoothness,
     location_family,
@@ -105,7 +104,6 @@ __all__ = [
     "location_scale_family",
     "mixture_linear_family",
     "check_smoothness",
-    "check_linearity",
     "check_responsiveness",
     "certify",
     # equilibrium

@@ -111,6 +111,14 @@ def write_equilibrium_csv(path, m: ModelConfig, ts: np.ndarray) -> None:
 SWEEP_CSV_BLOCK = 1024
 
 
+def _rung_name(tol: float) -> str:
+    """The flag column of ladder rung ``tol``: named by its ``:g`` text
+    where that reads back as ``tol``, else by its repr, so that distinct
+    rungs get distinct names."""
+    text = f"{tol:g}"
+    return f"coincident@{text if float(text) == tol else repr(float(tol))}"
+
+
 def write_sweep_csv(path, result: SweepResult) -> None:
     """Per-sample records: parameters, both metrics, coincidence flags."""
     k = result.samples.shape[1]
@@ -118,7 +126,7 @@ def write_sweep_csv(path, result: SweepResult) -> None:
     names = (
         [f"x_{i + 1}" for i in range(k)]
         + ["foc_gap", "accuracy_t"]
-        + [f"coincident@{tol:g}" for tol in result.tolerances]
+        + [_rung_name(tol) for tol in result.tolerances]
     )
     floats = [result.samples, result.foc_gaps]
     head = b""

@@ -364,7 +364,7 @@ def test_criterion_8_certificates(std_pair):
         assert not cert.linear_ok
     verdict(8, "family certificates", True,
             f"mixture_linear: all three pass; location families: {outcomes} "
-            "(linearity fails as the blend counterexample predicts)")
+            "(not linear: linearity is the kind, and only mixture_linear has it)")
 
 
 # ---------------------------------------------------------------------------

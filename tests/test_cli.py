@@ -335,12 +335,23 @@ def test_sweep_flag_overrides(sweep_config, tmp_path, capsys):
     assert summary["tolerances"] == [0.2, 0.02]
 
 
+def test_sweep_names_rungs_apart(sweep_config, tmp_path, capsys):
+    """Rungs that print alike under :g are named by their repr; a rung
+    whose :g text reads back as the rung keeps that text."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(sweep_config), "--out", str(out), "--tol", "1,0.1234568,0.1234567"]) == 0
+    capsys.readouterr()
+    with (out / "samples.csv").open() as fh:
+        header = next(csv.reader(fh))
+    assert header[3:] == ["coincident@1", "coincident@0.1234568", "coincident@0.1234567"]
+
+
 def test_check_certifies_cost_family(sweep_config, tmp_path, capsys):
     assert main(["check", "--config", str(sweep_config), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "check.json").read_text(encoding="utf-8"))
     family = payload["cost_family"]
     assert set(family) == {"smooth_ok", "linear_ok", "responsive_ok", "evidence"}
-    assert set(family["evidence"]) == {"smoothness", "linearity", "responsiveness"}
+    assert set(family["evidence"]) == {"smoothness", "responsiveness"}
     # a location family is smooth and responsive, but not linear in its parameter
     assert (family["smooth_ok"], family["linear_ok"], family["responsive_ok"]) == (True, False, True)
 

@@ -302,10 +302,13 @@ CSV_EDGES = np.concatenate([
 
 
 def _row_writer_sweep_csv(path, result):
-    """Reference: the per-row write_csv path write_sweep_csv must match."""
+    """Reference: the per-row write_csv path write_sweep_csv must match.
+    A rung is named by its :g text where that reads back as the rung,
+    else by its repr."""
     k = result.samples.shape[1]
+    rungs = [f"{tol:g}" if float(f"{tol:g}") == tol else repr(float(tol)) for tol in result.tolerances]
     header = ([f"x_{i + 1}" for i in range(k)] + ["foc_gap", "accuracy_t"]
-              + [f"coincident@{tol:g}" for tol in result.tolerances])
+              + [f"coincident@{rung}" for rung in rungs])
     rows = []
     for j in range(result.n_samples):
         row = list(result.samples[j]) + [result.foc_gaps[j], result.accuracy_thresholds[j]]

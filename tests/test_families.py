@@ -1,4 +1,4 @@
-"""Cost families: instantiation, box guards, and the three certificates."""
+"""Cost families: instantiation, box guards, the blend identity and the certificate."""
 
 import math
 import warnings
@@ -15,7 +15,6 @@ from threshold_lab import (
     OutOfBoxError,
     ParameterBox,
     certify,
-    check_linearity,
     check_responsiveness,
     check_smoothness,
     gumbel,
@@ -28,7 +27,7 @@ from threshold_lab import (
     normal,
 )
 from threshold_lab.distributions import CDF_PDF_TOL, PDF_FLOOR, PDF_PRIME_TOL, derivative_consistency
-from threshold_lab.families import LINEARITY_TOL, RESPONSIVENESS_MIN_MOVE
+from threshold_lab.families import RESPONSIVENESS_MIN_MOVE, _leaf_params
 
 BOX1 = ParameterBox((-3.0,), (3.0,))
 
@@ -316,18 +315,48 @@ def test_instantiate_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_linearity_blend_property_mixture():
-    fam = mixture_linear_family(
-        (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)), ParameterBox((0.1, 0.1), (0.45, 0.45))
-    )
-    rng = np.random.default_rng(5)
-    ts = np.linspace(-6, 6, 25)
-    for _ in range(20):
-        x, y = fam.box.sample(rng, 2)
-        alpha = float(rng.uniform())
-        mid = fam.instantiate(alpha * x + (1 - alpha) * y).pdf(ts)
-        blend = alpha * fam.instantiate(x).pdf(ts) + (1 - alpha) * fam.instantiate(y).pdf(ts)
-        np.testing.assert_allclose(mid, blend, atol=1e-12, rtol=0)
+#: the benchmark catalog costs
+CATALOG_COSTS = [
+    logistic(0.0, 1.0),
+    normal(0.0, 1.2),
+    normal(0.3, 1.5),
+    gumbel(0.0, 1.1),
+    mixture([(0.5, normal(-0.5, 1.0)), (0.5, normal(0.5, 1.0))]),
+]
+#: basis members: the catalog costs, and catalog kinds at drawn locations and scales
+CATALOG_MEMBERS = st.one_of(
+    st.sampled_from(CATALOG_COSTS),
+    st.builds(
+        lambda make, loc, scale: make(loc, scale),
+        st.sampled_from([normal, logistic, gumbel]),
+        st.floats(-5.0, 5.0),
+        st.floats(0.2, 3.0),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_linearity_blend_property_mixture(data):
+    """A mixture_linear density is affine in x: f(t | a*x + (1-a)*y) is
+    the a-blend of f(t | x) and f(t | y), to rounding, at points t within
+    six scales of every basis member's own locations."""
+    basis = data.draw(st.lists(CATALOG_MEMBERS, min_size=2, max_size=4))
+    k = len(basis) - 1
+    lower = [data.draw(st.floats(0.01, 0.5 / k)) for _ in range(k)]
+    upper = [lo + data.draw(st.floats(1e-3, 0.9 / k - lo)) for lo in lower]
+    fam = mixture_linear_family(basis, ParameterBox(tuple(lower), tuple(upper)))
+    row = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(lower, upper)))
+    x, y = np.array(data.draw(row)), np.array(data.draw(row))
+    alpha = data.draw(st.floats(0.0, 1.0))
+    # rounding can carry the blend an ulp past a face of the box
+    mid = fam.box.clip(alpha * x + (1.0 - alpha) * y)
+    zs = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8)))
+    ts = np.concatenate([loc + scale * zs for d in basis for loc, scale in _leaf_params(d)])
+    at_x, at_y, at_mid = fam.pdf_at(ts[None, :], np.array([x, y, mid]))
+    blend = alpha * at_x + (1.0 - alpha) * at_y
+    biggest = max(at_x.max(), at_y.max(), at_mid.max())
+    assert np.max(np.abs(at_mid - blend)) <= 1e-12 * (1.0 + biggest)
 
 
 def test_certificates_by_kind():
@@ -381,9 +410,31 @@ def test_smoothness_evidence():
 
 
 def test_linearity_counterexample_magnitude():
-    ok, evidence = check_linearity(location_family(normal(0, 1), BOX1))
-    assert not ok
-    assert evidence["max_blend_err"] > 1e-3  # an O(1) failure, not a tolerance artifact
+    """Location and location-scale families are not affine in x: the
+    density at the midpoint parameter is not the blend of the densities
+    at the ends."""
+    ts = np.linspace(-6.0, 6.0, 25)[None, :]
+    for fam, ends in (
+        (location_family(normal(0, 1), BOX1), [[-1.0], [2.0]]),
+        (location_scale_family(normal(0, 1), ParameterBox((-1.0, 0.5), (1.0, 2.0))), [[0.0, 0.5], [0.0, 2.0]]),
+    ):
+        x, y = np.array(ends)
+        at_x, at_y, at_mid = fam.pdf_at(ts, np.array([x, y, 0.5 * (x + y)]))
+        err = np.max(np.abs(at_mid - 0.5 * (at_x + at_y)))
+        assert err > 1e-3  # an O(1) failure, not a tolerance artifact
+
+
+def test_linear_ok_is_the_kind():
+    """linear_ok says whether the family is mixture_linear, also where the
+    density is flat over [-6, 6] or has underflowed there, so that a blend
+    of densities sampled there could not tell a location family apart."""
+    for fam in (
+        location_family(normal(0, 1e4), BOX1),
+        location_family(normal(0, 1), ParameterBox((30.0,), (40.0,))),
+    ):
+        assert not certify(fam).linear_ok
+    for fam in PINNED_FAMILIES:
+        assert certify(fam).linear_ok == (fam.kind == "mixture_linear")
 
 
 def test_make_cost_family_dispatch():
@@ -393,21 +444,6 @@ def test_make_cost_family_dispatch():
     assert fam.kind == "location"
     with pytest.raises(DistributionError):
         make_cost_family("spline", BOX1, template=logistic(0, 1))
-
-
-def _linearity_loop(fam, n_triples=50, n_points=20, seed=0):
-    """The per-triple check_linearity loop that the array version replaced."""
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(-6.0, 6.0, n_points)
-    worst = 0.0
-    for _ in range(n_triples):
-        x, y = fam.box.sample(rng, 2)
-        alpha = rng.uniform(0.0, 1.0)
-        mid = alpha * x + (1.0 - alpha) * y
-        blend = alpha * fam.instantiate(x).pdf(ts) + (1.0 - alpha) * fam.instantiate(y).pdf(ts)
-        err = float(np.max(np.abs(fam.instantiate(mid).pdf(ts) - blend)))
-        worst = max(worst, err)
-    return worst < LINEARITY_TOL, {"max_blend_err": worst, "n_triples": n_triples}
 
 
 def _responsiveness_loop(fam, epsilon=0.01, n_probe=200, seed=0):
@@ -472,15 +508,8 @@ def _pinned_families():
     two narrow normal location families, on whose CDF steps the coarse
     responsiveness bound is loose, a one-ulp box, on which clipping cancels
     some probes, and a narrow gumbel whose smoothness errors are nan."""
-    costs = [
-        logistic(0.0, 1.0),
-        normal(0.0, 1.2),
-        normal(0.3, 1.5),
-        gumbel(0.0, 1.1),
-        mixture([(0.5, normal(-0.5, 1.0)), (0.5, normal(0.5, 1.0))]),
-    ]
     fams = []
-    for cost in costs:
+    for cost in CATALOG_COSTS:
         fams.append(location_family(cost, BOX1))
         fams.append(location_scale_family(cost, ParameterBox((-3.0, 0.5), (3.0, 2.0))))
         fams.append(
@@ -508,9 +537,9 @@ PINNED_FAMILIES = _pinned_families()
 
 @pytest.mark.parametrize("seed", [0, 9, 123])
 def test_array_checks_equal_loops(seed):
-    """check_responsiveness, check_linearity and check_smoothness draw the
-    old loops' random numbers in the same order and return identical
-    (ok, evidence), nan errors included."""
+    """check_responsiveness and check_smoothness draw the old loops'
+    random numbers in the same order and return identical (ok, evidence),
+    nan errors included."""
     unrun = 0
     for fam in PINNED_FAMILIES:
         assert _equal_nan(check_smoothness(fam, seed=seed), _smoothness_loop(fam, seed=seed))
@@ -519,10 +548,6 @@ def test_array_checks_equal_loops(seed):
             got = check_responsiveness(fam, epsilon=epsilon, seed=seed)
             assert got == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)
             unrun += got[1]["n_probes_run"] < got[1]["n_probe"] * fam.k
-        assert check_linearity(fam, seed=seed) == _linearity_loop(fam, seed=seed)
-        assert check_linearity(fam, n_triples=7, n_points=3, seed=seed) == _linearity_loop(
-            fam, n_triples=7, n_points=3, seed=seed
-        )
     assert unrun > 0
     narrow = PINNED_FAMILIES[-1]
     assert math.isnan(derivative_consistency(narrow.instantiate([8.75]), np.array([0.0]))[1])
