@@ -7,7 +7,12 @@ Subcommands:
 * ``equilibrium`` -- prevalence / payoff / slope table over a t-grid (CSV)
 * ``optimize``    -- both optima and the equivalence verdict (JSON)
 * ``sweep``       -- coincidence-measure experiment (CSV + JSON summary)
-* ``demo``        -- the standard worked example end to end
+* ``demo``        -- the standard worked example end to end: the
+                     ``equilibrium --out``, ``optimize`` and ``sweep`` code
+                     on ``DEMO_CONFIG``, writing their files
+                     (``equilibrium.csv``, ``eu_curve.dat``,
+                     ``optimize.json``, ``samples.csv``, ``summary.json``,
+                     ``fractions.dat``) under ``<out>/demo-<UTC stamp>/``
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numeric guardrail
 failure.
@@ -184,22 +189,23 @@ def _cmd_equilibrium(args) -> int:
         for row in rows:
             print(",".join(fmt_float(v) for v in row))
     else:
-        write_equilibrium_csv(args.out / "equilibrium.csv", model, ts)
-        write_xy(args.out / "eu_curve.dat", ts, eu_pos(model, ts), labels=("t", "eu_pos"))
+        _write_equilibrium(args.out, model, ts)
         print(f"wrote {args.out / 'equilibrium.csv'}")
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _with_flags(load_config(args.config), {"equivalence_tolerance": args.tol})
-    if cfg.reward <= 0.0:
-        raise ConfigError(f"config.reward: optimize requires reward > 0, got {cfg.reward!r}")
-    pair = _build_pair(cfg)
+def _write_equilibrium(out_dir: Path, model: ModelConfig, ts) -> None:
+    write_equilibrium_csv(out_dir / "equilibrium.csv", model, ts)
+    write_xy(out_dir / "eu_curve.dat", ts, eu_pos(model, ts), labels=("t", "eu_pos"))
+
+
+def _optimize(cfg: RunConfig, pair: SignalPair) -> dict:
+    """The ``optimize.json`` payload: both optima and the verdict on ``pair``."""
     model = ModelConfig(pair=pair, cost=_require_cost(cfg), reward=cfg.reward)
     compliance = compliance_optimal(model)
     accuracy = accuracy_optimal(model)
     verdict = equivalence_verdict(model, compliance, accuracy, cfg.equivalence_tolerance)
-    payload = {
+    return {
         "compliance": {
             "threshold": compliance.threshold,
             "value": compliance.value,
@@ -219,7 +225,13 @@ def _cmd_optimize(args) -> int:
         "normalization_shift": pair.shift,
         "config": cfg.echo,
     }
-    _emit(payload, args.out, "optimize.json")
+
+
+def _cmd_optimize(args) -> int:
+    cfg = _with_flags(load_config(args.config), {"equivalence_tolerance": args.tol})
+    if cfg.reward <= 0.0:
+        raise ConfigError(f"config.reward: optimize requires reward > 0, got {cfg.reward!r}")
+    _emit(_optimize(cfg, _build_pair(cfg)), args.out, "optimize.json")
     return 0
 
 
@@ -289,17 +301,14 @@ def _cmd_demo(args) -> int:
     report = check_admissible(cfg.g0, cfg.g1)
     print(f"[demo] pair admissible: {report.admissible} (ratio slope >= {report.min_ratio_slope:.3f})")
 
-    ts = np.linspace(*cfg.grid[:2], cfg.grid[2])
-    write_equilibrium_csv(out_dir / "equilibrium.csv", model, ts)
-    write_xy(out_dir / "eu_curve.dat", ts, eu_pos(model, ts), labels=("t", "eu_pos"))
+    _write_equilibrium(out_dir, model, np.linspace(*cfg.grid[:2], cfg.grid[2]))
 
-    compliance = compliance_optimal(model)
-    accuracy = accuracy_optimal(model)
-    verdict = equivalence_verdict(model, compliance, accuracy, cfg.equivalence_tolerance)
+    payload = _optimize(cfg, pair)
+    compliance, accuracy = payload["compliance"], payload["accuracy"]
     print(
-        f"[demo] compliance optimum t = {compliance.threshold:g} "
-        f"(prevalence {compliance.value:.6f}); accuracy optimum t = {accuracy.threshold:.6f} "
-        f"(payoff {accuracy.value:.6f}); equivalent: {verdict.equivalent}"
+        f"[demo] compliance optimum t = {compliance['threshold']:g} "
+        f"(prevalence {compliance['value']:.6f}); accuracy optimum t = {accuracy['threshold']:.6f} "
+        f"(payoff {accuracy['value']:.6f}); equivalent: {payload['equivalent']}"
     )
 
     summary = _run_sweep(cfg, out_dir)
@@ -308,15 +317,7 @@ def _cmd_demo(args) -> int:
         f"slope {summary['scaling_slope']:.3f}; {summary['verdict']}"
     )
 
-    write_json(
-        out_dir / "optimize.json",
-        {
-            "compliance_t": compliance.threshold,
-            "accuracy_t": accuracy.threshold,
-            "equivalent": verdict.equivalent,
-            "foc_gap": verdict.foc_gap,
-        },
-    )
+    write_json(out_dir / "optimize.json", payload)
     print(f"[demo] artifacts under {out_dir}")
     return 0
 

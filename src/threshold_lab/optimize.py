@@ -50,7 +50,7 @@ import numpy as np
 from .equilibrium import ModelConfig, _deu_pos, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
 from .errors import VerificationFailedError
 from .families import CostFamily
-from .signals import SignalPair
+from .signals import BISECT_WIDTH, SignalPair
 
 __all__ = [
     "SEARCH_LO",
@@ -74,8 +74,6 @@ SEARCH_HI = 10.0
 SEARCH_N = 401
 
 GUARDRAIL_SLACK = 1e-9
-#: the slope bisection stops once its bracket is this narrow
-BISECT_WIDTH = 1e-12
 #: rows per block of the grid scan: each temporary is 32 x SEARCH_N floats
 #: (~100 kB), which keeps peak memory flat in the sample count and is no
 #: slower than larger blocks

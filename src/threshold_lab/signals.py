@@ -41,6 +41,7 @@ __all__ = [
     "MLRP_STRICT_TOL",
     "CROSSING_MATCH_TOL",
     "NORMALIZED_DENSITY_TOL",
+    "BISECT_WIDTH",
     "AdmissibilityReport",
     "SignalPair",
     "check_mlrp",
@@ -64,7 +65,9 @@ CROSSING_MATCH_TOL = 1e-10
 #: density agreement at 0 required of a normalized pair
 NORMALIZED_DENSITY_TOL = 1e-9
 
-_BISECT_WIDTH = 1e-12
+#: a bisection stops once its bracket is this narrow: the density-crossing
+#: bisection here and the accuracy optimizer's slope bisection
+BISECT_WIDTH = 1e-12
 
 
 def _location(d: ScalarDistribution) -> float:
@@ -182,7 +185,7 @@ def _bisect(f, a: float, b: float, falls: bool) -> float:
     """Halve the bracket ``[a, b]`` of a sign change of ``f``, evaluating
     ``f`` only at midpoints strictly inside it; ``falls`` is whether ``f``
     is positive at ``a``.  A degenerate bracket ``a == b`` returns ``a``."""
-    while b - a > _BISECT_WIDTH:
+    while b - a > BISECT_WIDTH:
         m = 0.5 * (a + b)
         if m <= a or m >= b:
             break

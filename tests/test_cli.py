@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import threshold_lab
-from threshold_lab.cli import main
+from threshold_lab.cli import DEMO_CONFIG, main
 
 MODEL_CONFIG = {
     "signal_pair": {
@@ -78,17 +78,28 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config.cost: required for this command")
 
 
+#: normal(0, 1) against normal(0, 2): the likelihood ratio is not monotone
+INADMISSIBLE_PAIR = {
+    "g0": {"kind": "normal", "params": [0, 1]},
+    "g1": {"kind": "normal", "params": [0, 2]},
+}
+UNUSABLE_REWARD_CASES = [
+    ("optimize", 0.0, "optimize requires reward > 0, got 0.0", MODEL_CONFIG["signal_pair"]),
+    ("optimize", -1.0, "optimize requires reward > 0, got -1.0", MODEL_CONFIG["signal_pair"]),
+    ("sweep", 0.0, "sweep requires a nonzero reward, got 0.0", MODEL_CONFIG["signal_pair"]),
+    # the reward is refused before the pair is normalized
+    ("optimize", 0.0, "optimize requires reward > 0, got 0.0", INADMISSIBLE_PAIR),
+]
+
+
 @pytest.mark.parametrize(
-    "command, reward, message",
-    [
-        ("optimize", 0.0, "optimize requires reward > 0, got 0.0"),
-        ("optimize", -1.0, "optimize requires reward > 0, got -1.0"),
-        ("sweep", 0.0, "sweep requires a nonzero reward, got 0.0"),
-    ],
+    "command, reward, message, signal_pair",
+    UNUSABLE_REWARD_CASES,
+    ids=[f"{c}-{r}-{m}" + ("-inadmissible pair" if p is INADMISSIBLE_PAIR else "") for c, r, m, p in UNUSABLE_REWARD_CASES],
 )
-def test_unusable_reward_exits_1(tmp_path, capsys, command, reward, message):
+def test_unusable_reward_exits_1(tmp_path, capsys, command, reward, message, signal_pair):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**MODEL_CONFIG, **SWEEP_CONFIG, "reward": reward}))
+    path.write_text(json.dumps({**MODEL_CONFIG, **SWEEP_CONFIG, "reward": reward, "signal_pair": signal_pair}))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: config.reward: {message}\n"
@@ -370,3 +381,14 @@ def test_demo_runs_end_to_end(tmp_path, capsys):
     assert len(run_dirs) == 1
     for name in ("equilibrium.csv", "eu_curve.dat", "samples.csv", "summary.json", "optimize.json", "fractions.dat"):
         assert (run_dirs[0] / name).exists()
+
+
+def test_demo_writes_the_optimize_payload(tmp_path, capsys):
+    """The demo's optimize.json is, byte for byte, what ``optimize --out``
+    writes for DEMO_CONFIG saved to a file."""
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(DEMO_CONFIG))
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "optimize")]) == 0
+    assert main(["demo", "--out", str(tmp_path / "demo")]) == 0
+    (run_dir,) = (tmp_path / "demo").glob("demo-*")
+    assert (run_dir / "optimize.json").read_bytes() == (tmp_path / "optimize" / "optimize.json").read_bytes()

@@ -6,7 +6,8 @@ the sweep's bootstrap, grid scan and CSV writer were batched (for
 ``eu_curve.dat``, before ``write_xy`` went through the block writer; for
 the nine-rung ladder, before the writer took a sample's flags as one
 coincidence level), so a change that alters any output byte of a sweep
-or of the equilibrium command fails here.  To re-record after an
+or of the equilibrium command fails here.  The demo's equilibrium files
+are checked against the equilibrium command's digests.  To re-record after an
 intended output change, print ``_sweep_digests(tmp)``, the nine-rung
 test's ``got`` and ``_equilibrium_digest(tmp, name)`` and say why in
 CHANGES.md.
@@ -152,3 +153,11 @@ def test_equilibrium_csv_matches_golden_digest(tmp_path, capsys):
 
 def test_eu_curve_matches_golden_digest(tmp_path, capsys):
     assert _equilibrium_digest(tmp_path, "eu_curve.dat") == GOLDEN_EU_CURVE
+
+
+def test_demo_equilibrium_files_match_golden_digests(tmp_path, capsys):
+    """The demo writes the equilibrium command's files for its model."""
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.glob("demo-*")
+    got = (_sha256(run_dir / "equilibrium.csv"), _sha256(run_dir / "eu_curve.dat"))
+    assert got == (GOLDEN_EQUILIBRIUM, GOLDEN_EU_CURVE)
