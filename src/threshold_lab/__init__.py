@@ -44,7 +44,6 @@ from .families import (
     FamilyCertificate,
     ParameterBox,
     certify,
-    check_responsiveness,
     check_smoothness,
     location_family,
     location_scale_family,
@@ -104,7 +103,6 @@ __all__ = [
     "location_scale_family",
     "mixture_linear_family",
     "check_smoothness",
-    "check_responsiveness",
     "certify",
     # equilibrium
     "ModelConfig",

@@ -4,6 +4,9 @@ Subcommands:
 
 * ``check``       -- admissibility report for the signal pair, plus the
                      family certificate when a cost family is configured
+                     (``responsive_ok`` is transversality at the pivot
+                     r * gap(0) of the normalized pair, null when the pair
+                     is not admissible)
 * ``equilibrium`` -- prevalence / payoff / slope table over a t-grid (CSV)
 * ``optimize``    -- both optima and the equivalence verdict (JSON)
 * ``sweep``       -- coincidence-measure experiment (CSV + JSON summary)
@@ -14,8 +17,8 @@ Subcommands:
                      ``optimize.json``, ``samples.csv``, ``summary.json``,
                      ``fractions.dat``) under ``<out>/demo-<UTC stamp>/``
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numeric guardrail
-failure.
+``optimize`` and ``sweep`` require reward > 0.  Exit codes: 0 success, 1
+configuration or usage error, 2 numeric guardrail failure.
 """
 
 from __future__ import annotations
@@ -139,6 +142,11 @@ def _require_cost(cfg: RunConfig):
     return cfg.cost
 
 
+def _require_positive_reward(cfg: RunConfig, command: str) -> None:
+    if cfg.reward <= 0.0:
+        raise ConfigError(f"config.reward: {command} requires reward > 0, got {cfg.reward!r}")
+
+
 def _require_family(cfg: RunConfig):
     if cfg.family is None:
         raise ConfigError("config.cost_family: required for this command")
@@ -169,7 +177,8 @@ def _cmd_check(args) -> int:
         "config": cfg.echo,
     }
     if cfg.family is not None:
-        cert = certify(cfg.family)
+        pivot = cfg.reward * normalize_pair(cfg.g0, cfg.g1).gap(0.0) if report.admissible else None
+        cert = certify(cfg.family, pivot)
         payload["cost_family"] = {**cert.summary(), "evidence": cert.evidence}
     _emit(payload, args.out, "check.json")
     return 0
@@ -229,18 +238,14 @@ def _optimize(cfg: RunConfig, pair: SignalPair) -> dict:
 
 def _cmd_optimize(args) -> int:
     cfg = _with_flags(load_config(args.config), {"equivalence_tolerance": args.tol})
-    if cfg.reward <= 0.0:
-        raise ConfigError(f"config.reward: optimize requires reward > 0, got {cfg.reward!r}")
+    _require_positive_reward(cfg, "optimize")
     _emit(_optimize(cfg, _build_pair(cfg)), args.out, "optimize.json")
     return 0
 
 
-def _run_sweep(cfg: RunConfig, out_dir: Path) -> dict:
-    if cfg.reward == 0.0:
-        raise ConfigError(f"config.reward: sweep requires a nonzero reward, got {cfg.reward!r}")
-    pair = _build_pair(cfg)
+def _run_sweep(cfg: RunConfig, pair: SignalPair, out_dir: Path) -> dict:
     family = _require_family(cfg)
-    cert = certify(family)
+    cert = certify(family, cfg.reward * pair.gap(0.0))
     spec = SweepSpec(
         family=family,
         pair=pair,
@@ -270,8 +275,9 @@ def _cmd_sweep(args) -> int:
         except ValueError as err:
             raise ConfigError(f"--tol expects comma-separated numbers, got {args.tol!r}") from err
     cfg = _with_flags(cfg, {"sweep.seed": args.seed, "sweep.mode": args.mode, "sweep.tolerances": tolerances})
+    _require_positive_reward(cfg, "sweep")
     out_dir = args.out if args.out is not None else Path("runs") / "sweep"
-    summary = _run_sweep(cfg, out_dir)
+    summary = _run_sweep(cfg, _build_pair(cfg), out_dir)
     print(json.dumps(summary, indent=2))
     print(f"wrote {out_dir / 'samples.csv'} and {out_dir / 'summary.json'}", file=sys.stderr)
     return 0
@@ -311,7 +317,7 @@ def _cmd_demo(args) -> int:
         f"(payoff {accuracy['value']:.6f}); equivalent: {payload['equivalent']}"
     )
 
-    summary = _run_sweep(cfg, out_dir)
+    summary = _run_sweep(cfg, pair, out_dir)
     print(
         f"[demo] sweep fractions {summary['fractions']} at tolerances {summary['tolerances']}; "
         f"slope {summary['scaling_slope']:.3f}; {summary['verdict']}"

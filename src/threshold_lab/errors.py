@@ -6,7 +6,7 @@ from ThresholdLabError, so callers (and the CLI exit-code mapping) can
 tell validation problems from numeric guardrail failures.  Argument
 checks of library calls raise a bare ValueError instead:
 ``compliance_optimal`` (reward <= 0), ``SweepSpec``, ``ModelConfig``,
-``equivalence_verdict``, ``scaling_report`` and ``check_responsiveness``.
+``equivalence_verdict`` and ``scaling_report``.
 The CLI checks the config values that reach those calls first, so a bad
 config value exits 1 with its field path instead of one of these errors.
 """

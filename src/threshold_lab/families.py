@@ -27,13 +27,12 @@ before a coincidence sweep is meaningful.  Parameter-linearity of the
 density comes from the kind: mixture_linear has it by construction, and
 no location or location-scale family over a box of positive volume has
 it, since a density that shifts (or scales) with x is not affine in x.
-The sweep machinery accepts those kinds anyway and reports the flag.  The
-other two are measured: twice-smoothness of every member, and
-responsiveness (every small parameter perturbation actually moves the
-CDF).  Both checks evaluate their members as arrays through the same
-dispatch as ``cdf_at`` / ``pdf_at`` (the smoothness check also asks it
-for pdf').  Responsiveness is not the condition the measure-zero argument
-needs; see the ``genericity`` module docstring.
+The sweep machinery accepts those kinds anyway and reports the flag.
+Twice-smoothness of every member is measured, through the same array
+dispatch as ``cdf_at`` / ``pdf_at`` (which also gives pdf').
+Responsiveness is the condition the measure-zero argument uses:
+transversality of the coincidence set at the prevalence pivot, in closed
+form (see ``certify`` and the ``genericity`` module docstring).
 """
 
 from __future__ import annotations
@@ -61,17 +60,13 @@ __all__ = [
     "location_scale_family",
     "mixture_linear_family",
     "check_smoothness",
-    "check_responsiveness",
     "certify",
 ]
 
 #: box dimension of each location kind
 _LOCATION_DIMS = {"location": 1, "location_scale": 2}
+#: smallest |dF(p | x)/dx_i| that counts as transversal at the pivot p
 RESPONSIVENESS_MIN_MOVE = 1e-12
-#: responsiveness centers whose probes share one full-grid array pass
-_PROBE_BLOCK = 32
-#: stride of the coarse t-grid that bounds each responsiveness probe's sup
-_COARSE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -271,19 +266,19 @@ class FamilyCertificate:
     """The three structural requirements of a family.
 
     ``linear_ok`` is the family's kind (mixture_linear or not);
-    ``smooth_ok`` and ``responsive_ok`` are measured, and ``evidence``
-    holds their measurements under ``"smoothness"`` and
-    ``"responsiveness"``.
+    ``smooth_ok`` is measured, and ``evidence`` holds its measurements
+    under ``"smoothness"``; ``responsive_ok`` is transversality at the
+    pivot, None when ``certify`` was given none.
     """
 
     smooth_ok: bool
     linear_ok: bool
-    responsive_ok: bool
+    responsive_ok: bool | None
     evidence: dict
 
     @property
     def all_ok(self) -> bool:
-        return self.smooth_ok and self.linear_ok and self.responsive_ok
+        return bool(self.smooth_ok and self.linear_ok and self.responsive_ok)
 
     def summary(self) -> dict:
         return {
@@ -312,82 +307,31 @@ def check_smoothness(fam: CostFamily, n_points: int = 20, seed: int = 0):
     return ok, {"max_cdf_err": worst_cdf, "max_pdf_err": worst_pdf, "n_points": n_points}
 
 
-def check_responsiveness(fam: CostFamily, epsilon: float = 0.01, n_probe: int = 200, seed: int = 0):
-    """Does every small single-parameter perturbation move the CDF somewhere?
+def certify(fam: CostFamily, pivot: float | None) -> FamilyCertificate:
+    """Certify a family at the prevalence pivot p = r * gap(0).
 
-    For random centers x, each coordinate is perturbed separately by a
-    nonzero draw from [-epsilon, epsilon] (clipped into the box) and the
-    sup over a 401-point grid of |F(t|x) - F(t|x')| must exceed
-    RESPONSIVENESS_MIN_MOVE for every probe.  Axis-wise probing is what
-    the coincidence argument leans on: a family whose members ignore one
-    coordinate must be caught even though joint perturbations would move
-    the CDF through the other coordinates.  A perturbation that clipping
-    or rounding cancels is not run.
-
-    The evidence is that of the full 401-point sup of every probe, found
-    coarse to fine.  One pass over all probes on every ``_COARSE_STRIDE``-th
-    grid point (51 of 401) gives each probe a lower bound low <= sup: the
-    coarse points are grid points, and ``cdf_at`` is elementwise, so they
-    carry the same CDF values as on the full grid.  The full sup is then
-    computed only where the bound leaves the evidence open: for every
-    probe whose low does not exceed RESPONSIVENESS_MIN_MOVE (nan
-    included), for the probe with the smallest low, and, repeatedly, for
-    every probe whose low is below the smallest full sup found so far.
-    Every other probe has sup >= low > RESPONSIVENESS_MIN_MOVE and
-    sup >= low >= that smallest full sup, so ``n_moved`` and
-    ``min_sup_move`` equal those of the full sups of all probes (the CDF
-    values of the family's members are finite).  The full pass runs
-    in blocks of ``_PROBE_BLOCK`` centers' worth of probes to bound the
-    size of its CDF arrays; a family that does not respond sends every
-    probe there.
+    Linearity is the kind and smoothness is measured by
+    ``check_smoothness``.  ``responsive_ok`` says whether the coincidence
+    set {x : F(p | x) = 1/2} is transversal, dF(p | x)/dx != 0, in closed
+    form.  A location kind has F(p | x) = F0((p - x_1) / x_2) (x_2 = 1 for
+    location), strictly falling in x_1 because every catalog density is
+    positive, so it is True by kind.  A mixture_linear family has
+    F(p | x) = sum_i x_i G_i(p) + (1 - sum(x)) G_{k+1}(p), whose gradient
+    is the constant (G_i(p) - G_{k+1}(p)); it is True when some component
+    exceeds RESPONSIVENESS_MIN_MOVE in magnitude.  With no pivot (the pair
+    is not admissible) it is None.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be > 0")
-    rng = np.random.default_rng(seed)
-    ts = np.linspace(-10.0, 10.0, 401)[None, :]
-    centers = fam.box.sample(rng, n_probe)
-    # row i holds center i's per-axis deltas, drawn center by center
-    deltas = rng.uniform(-epsilon, epsilon, (n_probe, fam.k))
-    # probe (i, axis): center i moved along that axis alone, clipped into the box
-    x = np.repeat(centers, fam.k, axis=0)
-    on_axis = np.tile(np.eye(fam.k, dtype=bool), (n_probe, 1))
-    x_prime = np.where(on_axis, fam.box.clip(x + deltas.reshape(-1, 1)), x)
-    run = np.flatnonzero(np.any(x_prime != x, axis=1))
-    coarse = ts[:, ::_COARSE_STRIDE]
-    base = fam.cdf_at(coarse, centers)
-    # each run probe's coarse lower bound, replaced by its full sup where refined
-    sups = np.max(np.abs(base[run // fam.k] - fam.cdf_at(coarse, x_prime[run])), axis=1)
-    exact = np.zeros(len(run), dtype=bool)
-    refine = ~(sups > RESPONSIVENESS_MIN_MOVE)
-    if len(run):
-        refine[np.argmin(sups)] = True
-    while refine.any():
-        todo = np.flatnonzero(refine)
-        for b in range(0, len(todo), _PROBE_BLOCK * fam.k):
-            block = todo[b : b + _PROBE_BLOCK * fam.k]
-            rows = run[block]
-            sups[block] = np.max(np.abs(fam.cdf_at(ts, x[rows]) - fam.cdf_at(ts, x_prime[rows])), axis=1)
-        exact |= refine
-        refine = ~exact & (sups < sups[exact].min())
-    moved = int(np.count_nonzero(sups > RESPONSIVENESS_MIN_MOVE))
-    ok = len(sups) > 0 and moved == len(sups)
-    return ok, {
-        "epsilon": epsilon,
-        "n_probe": n_probe,
-        "n_probes_run": len(sups),
-        "n_moved": moved,
-        "min_sup_move": float(sups.min()) if len(sups) else None,
-    }
-
-
-def certify(fam: CostFamily) -> FamilyCertificate:
-    """Certify a family: linearity from its kind, smoothness and
-    responsiveness measured by their checks at the defaults."""
     smooth_ok, smooth_ev = check_smoothness(fam)
-    responsive_ok, resp_ev = check_responsiveness(fam)
+    if pivot is None:
+        responsive_ok = None
+    elif fam.kind == "mixture_linear":
+        *g, last = (d.cdf(pivot) for d in fam.basis)
+        responsive_ok = max(abs(gi - last) for gi in g) > RESPONSIVENESS_MIN_MOVE
+    else:
+        responsive_ok = True
     return FamilyCertificate(
         smooth_ok=smooth_ok,
         linear_ok=fam.kind == "mixture_linear",
         responsive_ok=responsive_ok,
-        evidence={"smoothness": smooth_ev, "responsiveness": resp_ev},
+        evidence={"smoothness": smooth_ev},
     )

@@ -6,13 +6,13 @@ coincidence set is where the payoff slope at the compliance optimum
 vanishes, i.e. F(p | x) = 1/2 at the pivot p = r * gap(0) -- one scalar
 equation in k parameters, hence a measure-zero set when dF(p | x)/dx is
 nonzero for almost every x in the box.  The ``certify`` responsiveness
-flag does not imply that: it asks whether F moves anywhere on a t-grid,
-and a family whose basis CDFs all equal 1/2 at p is responsive yet lies
-wholly on the coincidence set (README, "Model in one screen").  The sweep
-estimates the set's Lebesgue measure by uniform sampling: the fraction
-of samples whose coincidence metric falls below a tolerance ladder
-should shrink linearly with the tolerance (slope ~1 on log-log axes) and
-vanish in the limit.  A family parked on the coincidence set is the
+flag is that transversality at the sweep's pivot, in closed form; a
+mixture_linear family whose basis CDFs all agree at p fails it, and if
+they all equal 1/2 there it lies wholly on the coincidence set (README,
+"Model in one screen").  The sweep estimates the set's Lebesgue measure
+by uniform sampling: the fraction of samples whose coincidence metric
+falls below a tolerance ladder should shrink linearly with the tolerance
+(slope ~1 on log-log axes) and vanish in the limit.  A family parked on the coincidence set is the
 control: its fraction pins at 1 at every tolerance.
 
 Two metrics are available:
@@ -204,9 +204,9 @@ def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> Swe
 
     The certificate is required evidence that the structural checks were
     run; the sweep itself proceeds whatever the flags say (running a
-    non-responsive family is exactly how the control experiment shows the
-    responsiveness hypothesis is load-bearing) and the flags travel with
-    the result.
+    family that is not transversal at the pivot is exactly how the control
+    experiment shows the transversality hypothesis is load-bearing) and
+    the flags travel with the result.
     """
     if certificate is None:
         raise CertificateMissingError(

@@ -272,7 +272,7 @@ def _k1_sweep(std_pair):
     family = location_family(logistic(0.0, 1.0), ParameterBox((-3.0,), (3.0,)))
     spec = SweepSpec(family=family, pair=std_pair, reward=1.0, n_samples=10000,
                      tolerances=K1_TOLERANCES, seed=K1_SEED, mode="foc_gap")
-    return coincidence_fraction(spec, certify(family))
+    return coincidence_fraction(spec, certify(family, std_pair.gap(0.0)))
 
 
 def test_criterion_6_measure_zero_scaling(std_pair):
@@ -295,7 +295,7 @@ def test_criterion_6_measure_zero_scaling(std_pair):
     )
     spec2 = SweepSpec(family=family2, pair=std_pair, reward=1.0, n_samples=10000,
                       tolerances=(0.03, 0.01, 0.003, 0.001, 0.0003), seed=K1_SEED, mode="foc_gap")
-    res2 = coincidence_fraction(spec2, certify(family2))
+    res2 = coincidence_fraction(spec2, certify(family2, std_pair.gap(0.0)))
     report2 = scaling_report(res2)
     assert 0.8 <= res2.scaling_slope <= 1.2
     assert report2.verdict == VERDICT_CONSISTENT
@@ -322,7 +322,7 @@ def test_criterion_6_literal_fraction_triple(std_pair):
 
 
 # ---------------------------------------------------------------------------
-# criterion 7: non-responsive control pins the fraction at one
+# criterion 7: a control that is not transversal at the pivot pins the fraction at one
 
 
 def test_criterion_7_negative_control(std_pair):
@@ -330,7 +330,7 @@ def test_criterion_7_negative_control(std_pair):
     # (its CDF equals 1/2 exactly at the prevalence pivot r*gap(0))
     pinned = logistic(DELTA0, 1.0)
     family = mixture_linear_family((pinned, pinned), ParameterBox((0.2,), (0.8,)))
-    cert = certify(family)
+    cert = certify(family, std_pair.gap(0.0))
     assert not cert.responsive_ok
 
     spec = SweepSpec(family=family, pair=std_pair, reward=1.0, n_samples=2000,
@@ -341,7 +341,7 @@ def test_criterion_7_negative_control(std_pair):
     assert report.verdict == VERDICT_INCONSISTENT
     verdict(7, "negative control", True,
             "fraction 1.0 at every tolerance, verdict inconsistent: "
-            "responsiveness is load-bearing")
+            "transversality at the pivot is load-bearing")
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +353,12 @@ def test_criterion_8_certificates(std_pair):
         (normal(-2.0, 0.8), normal(2.0, 0.8), logistic(0.0, 1.0)),
         ParameterBox((0.1, 0.1), (0.45, 0.45)),
     )
-    mix_cert = certify(mix)
+    mix_cert = certify(mix, std_pair.gap(0.0))
     assert mix_cert.smooth_ok and mix_cert.linear_ok and mix_cert.responsive_ok
 
     outcomes = {}
     for name, template in (("normal", normal(0.0, 1.0)), ("logistic", logistic(0.0, 1.0))):
-        cert = certify(location_family(template, ParameterBox((-3.0,), (3.0,))))
+        cert = certify(location_family(template, ParameterBox((-3.0,), (3.0,))), std_pair.gap(0.0))
         outcomes[name] = cert.summary()
         assert cert.smooth_ok and cert.responsive_ok
         assert not cert.linear_ok

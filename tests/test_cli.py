@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, file outputs, reproducibility."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -86,9 +87,12 @@ INADMISSIBLE_PAIR = {
 UNUSABLE_REWARD_CASES = [
     ("optimize", 0.0, "optimize requires reward > 0, got 0.0", MODEL_CONFIG["signal_pair"]),
     ("optimize", -1.0, "optimize requires reward > 0, got -1.0", MODEL_CONFIG["signal_pair"]),
-    ("sweep", 0.0, "sweep requires a nonzero reward, got 0.0", MODEL_CONFIG["signal_pair"]),
+    ("sweep", 0.0, "sweep requires reward > 0, got 0.0", MODEL_CONFIG["signal_pair"]),
+    # at r < 0 the compliance optimum is the negative rule, not the one a sweep measures
+    ("sweep", -1.0, "sweep requires reward > 0, got -1.0", MODEL_CONFIG["signal_pair"]),
     # the reward is refused before the pair is normalized
     ("optimize", 0.0, "optimize requires reward > 0, got 0.0", INADMISSIBLE_PAIR),
+    ("sweep", -1.0, "sweep requires reward > 0, got -1.0", INADMISSIBLE_PAIR),
 ]
 
 
@@ -362,9 +366,69 @@ def test_check_certifies_cost_family(sweep_config, tmp_path, capsys):
     payload = json.loads((tmp_path / "check.json").read_text(encoding="utf-8"))
     family = payload["cost_family"]
     assert set(family) == {"smooth_ok", "linear_ok", "responsive_ok", "evidence"}
-    assert set(family["evidence"]) == {"smoothness", "responsiveness"}
+    assert set(family["evidence"]) == {"smoothness"}
     # a location family is smooth and responsive, but not linear in its parameter
     assert (family["smooth_ok"], family["linear_ok"], family["responsive_ok"]) == (True, False, True)
+
+
+def _translated(dist: dict, c: float) -> dict:
+    return {**dist, "params": [dist["params"][0] + c, *dist["params"][1:]]}
+
+
+#: the benchmark's three family kinds on a logistic(0, 1) cost, and
+#: README's counterexample, whose basis CDFs equal 1/2 at the demo pivot
+CHECK_FAMILIES = [
+    {"kind": "location", "template": {"kind": "logistic", "params": [0, 1]},
+     "box": {"lower": [-3], "upper": [3]}},
+    {"kind": "location_scale", "template": {"kind": "logistic", "params": [0, 1]},
+     "box": {"lower": [-3, 0.5], "upper": [3, 2]}},
+    {"kind": "mixture_linear",
+     "basis": [{"kind": "normal", "params": [-2, 0.8]}, {"kind": "normal", "params": [2, 0.8]},
+               {"kind": "logistic", "params": [0, 1]}],
+     "box": {"lower": [0.1, 0.1], "upper": [0.45, 0.45]}},
+    {"kind": "mixture_linear",
+     "basis": [{"kind": "normal", "params": [0.6826894921370859, 1]},
+               {"kind": "logistic", "params": [0.6826894921370859, 0.4]}],
+     "box": {"lower": [0.2], "upper": [0.8]}},
+]
+CHECK_PAIRS = [
+    MODEL_CONFIG["signal_pair"],
+    {"g0": {"kind": "gumbel", "params": [0, 0.75]}, "g1": {"kind": "gumbel", "params": [0.5, 0.75]}},
+]
+
+
+def test_check_certificate_is_translation_invariant(tmp_path, capsys):
+    """``check`` on a pair translated by 30 to 60 either way gives the
+    untranslated ``cost_family`` block exactly, though the pivot r * gap(0)
+    of the normalized translated pair may differ in its last bits."""
+    blocks = []
+    for family, pair, reward in itertools.product(CHECK_FAMILIES, CHECK_PAIRS, (1.0, 2.0)):
+        per_shift = []
+        for c in (0.0, -60.0, -30.0, 30.0, 47.5):
+            moved = {name: _translated(dist, c) for name, dist in pair.items()}
+            path = tmp_path / "check.json"
+            path.write_text(json.dumps({"signal_pair": moved, "cost_family": family, "reward": reward}))
+            assert main(["check", "--config", str(path)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["signal_pair"]["admissible"]
+            per_shift.append(payload["cost_family"])
+        assert all(block == per_shift[0] for block in per_shift), (family["kind"], pair, reward)
+        blocks.append(per_shift[0]["responsive_ok"])
+    # the counterexample is refused at the demo pivot only
+    assert blocks == [True] * 12 + [False] + [True] * 3
+
+
+def test_check_inadmissible_pair_has_no_pivot(tmp_path, capsys):
+    """An inadmissible pair has no pivot, so the certificate leaves
+    transversality open (null) and ``check`` still exits 0."""
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps({**SWEEP_CONFIG, "signal_pair": INADMISSIBLE_PAIR}))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "check.json").read_text(encoding="utf-8"))
+    assert not payload["signal_pair"]["admissible"]
+    family = payload["cost_family"]
+    assert family["responsive_ok"] is None
+    assert (family["smooth_ok"], family["linear_ok"]) == (True, False)
 
 
 def test_sweep_requires_family(model_config, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import DELTA0
 from threshold_lab import (
     CostFamily,
     DegenerateWeightsError,
@@ -15,7 +16,6 @@ from threshold_lab import (
     OutOfBoxError,
     ParameterBox,
     certify,
-    check_responsiveness,
     check_smoothness,
     gumbel,
     location_family,
@@ -30,6 +30,8 @@ from threshold_lab.distributions import CDF_PDF_TOL, PDF_FLOOR, PDF_PRIME_TOL, d
 from threshold_lab.families import RESPONSIVENESS_MIN_MOVE, _leaf_params
 
 BOX1 = ParameterBox((-3.0,), (3.0,))
+#: the demo model's prevalence pivot r * gap(0) (r = 1)
+PIVOT = DELTA0
 
 
 def test_parameter_box_validation():
@@ -363,43 +365,58 @@ def test_certificates_by_kind():
     mix = mixture_linear_family(
         (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)), ParameterBox((0.1, 0.1), (0.45, 0.45))
     )
-    cert = certify(mix)
+    cert = certify(mix, PIVOT)
     assert cert.smooth_ok and cert.linear_ok and cert.responsive_ok and cert.all_ok
 
     for template in (normal(0, 1), logistic(0, 1)):
-        cert = certify(location_family(template, BOX1))
+        cert = certify(location_family(template, BOX1), PIVOT)
         assert cert.smooth_ok and cert.responsive_ok
         assert not cert.linear_ok  # density at the midpoint mean is not the blend
         assert not cert.all_ok
 
-    cert = certify(location_scale_family(normal(0, 1), ParameterBox((-1.0, 0.5), (1.0, 2.0))))
+    cert = certify(location_scale_family(normal(0, 1), ParameterBox((-1.0, 0.5), (1.0, 2.0))), PIVOT)
     assert cert.smooth_ok and cert.responsive_ok and not cert.linear_ok
+
+    # without a pivot (an inadmissible pair has none) transversality is unknown
+    cert = certify(mix, None)
+    assert cert.responsive_ok is None and not cert.all_ok
+    assert cert.evidence == certify(mix, PIVOT).evidence == {"smoothness": check_smoothness(mix)[1]}
 
 
 def test_constant_family_not_responsive():
+    """Members that ignore x are transversal at no pivot, and neither are
+    basis CDFs that differ at p by less than RESPONSIVENESS_MIN_MOVE."""
     same = logistic(0, 1)
     fam = mixture_linear_family((same, same), ParameterBox((0.2,), (0.8,)))
-    ok, evidence = check_responsiveness(fam)
-    assert not ok
-    assert evidence["n_moved"] == 0
-    assert not certify(fam).responsive_ok
+    for pivot in (-3.0, 0.0, PIVOT, 5.0):
+        assert not certify(fam, pivot).responsive_ok
+    for shift, responsive in ((1e-14, False), (1e-10, True)):
+        other = logistic(shift, 1)
+        move = abs(same.cdf(PIVOT) - other.cdf(PIVOT))
+        assert move > 0.0 and (move > RESPONSIVENESS_MIN_MOVE) == responsive
+        fam = mixture_linear_family((same, other), ParameterBox((0.2,), (0.8,)))
+        assert certify(fam, PIVOT).responsive_ok == responsive
 
 
-def test_family_ignoring_one_axis_not_responsive():
+def test_readme_counterexample_not_responsive():
+    """README's counterexample: both basis CDFs equal 1/2 at the pivot, so
+    every member lies on the coincidence set.  The gradient of F(p | x) is
+    G_1(p) - G_2(p) = 0, and the certificate refuses the family; away from
+    p the CDFs differ and it is transversal there."""
+    fam = mixture_linear_family((normal(PIVOT, 1), logistic(PIVOT, 0.4)), ParameterBox((0.2,), (0.8,)))
+    cert = certify(fam, PIVOT)
+    assert cert.smooth_ok and cert.linear_ok
+    assert cert.responsive_ok is False and not cert.all_ok
+    assert certify(fam, PIVOT + 1.0).responsive_ok
+
+
+def test_family_ignoring_one_axis_responsive():
+    """Members ignore x_2 (its basis member is the last one), but the
+    gradient along x_1, G_1(p) - G_3(p), is not zero: the coincidence set
+    is transversal, so the family is responsive."""
     b = logistic(0, 1)
     fam = mixture_linear_family((normal(-1, 1), b, b), ParameterBox((0.2, 0.2), (0.4, 0.4)))
-    ok, evidence = check_responsiveness(fam)
-    assert not ok
-    # exactly the probes along the ignored axis fail to move the CDF
-    assert evidence["n_moved"] == evidence["n_probes_run"] // 2
-
-
-def test_responsiveness_monotone_in_epsilon():
-    fam = location_family(logistic(0, 1), BOX1)
-    assert check_responsiveness(fam, epsilon=0.01, seed=9)[0]
-    assert check_responsiveness(fam, epsilon=0.005, seed=9)[0]
-    with pytest.raises(ValueError, match="epsilon must be > 0"):
-        check_responsiveness(fam, epsilon=0.0)
+    assert certify(fam, PIVOT).responsive_ok
 
 
 def test_smoothness_evidence():
@@ -432,9 +449,9 @@ def test_linear_ok_is_the_kind():
         location_family(normal(0, 1e4), BOX1),
         location_family(normal(0, 1), ParameterBox((30.0,), (40.0,))),
     ):
-        assert not certify(fam).linear_ok
+        assert not certify(fam, PIVOT).linear_ok
     for fam in PINNED_FAMILIES:
-        assert certify(fam).linear_ok == (fam.kind == "mixture_linear")
+        assert certify(fam, PIVOT).linear_ok == (fam.kind == "mixture_linear")
 
 
 def test_make_cost_family_dispatch():
@@ -444,37 +461,6 @@ def test_make_cost_family_dispatch():
     assert fam.kind == "location"
     with pytest.raises(DistributionError):
         make_cost_family("spline", BOX1, template=logistic(0, 1))
-
-
-def _responsiveness_loop(fam, epsilon=0.01, n_probe=200, seed=0):
-    """The per-probe check_responsiveness loop that the array version replaced."""
-    rng = np.random.default_rng(seed)
-    ts = np.linspace(-10.0, 10.0, 401)
-    centers = fam.box.sample(rng, n_probe)
-    smallest = math.inf
-    probes = moved = 0
-    for x in centers:
-        base = fam.instantiate(x).cdf(ts)
-        for axis in range(fam.k):
-            delta = rng.uniform(-epsilon, epsilon)
-            x_prime = x.copy()
-            x_prime[axis] += delta
-            x_prime = fam.box.clip(x_prime)
-            if np.array_equal(x_prime, x):
-                continue
-            probes += 1
-            sup = float(np.max(np.abs(base - fam.instantiate(x_prime).cdf(ts))))
-            smallest = min(smallest, sup)
-            if sup > RESPONSIVENESS_MIN_MOVE:
-                moved += 1
-    ok = probes > 0 and moved == probes
-    return ok, {
-        "epsilon": epsilon,
-        "n_probe": n_probe,
-        "n_probes_run": probes,
-        "n_moved": moved,
-        "min_sup_move": None if smallest is math.inf else smallest,
-    }
 
 
 def _max_nan(a, b):
@@ -505,9 +491,8 @@ def _smoothness_loop(fam, n_points=20, seed=0):
 def _pinned_families():
     """The benchmark's three family kinds over each benchmark catalog cost,
     plus the constant, ignored-axis and 3-axis mixture_linear families,
-    two narrow normal location families, on whose CDF steps the coarse
-    responsiveness bound is loose, a one-ulp box, on which clipping cancels
-    some probes, and a narrow gumbel whose smoothness errors are nan."""
+    two narrow normal location families, a one-ulp box, and a narrow
+    gumbel whose smoothness errors are nan."""
     fams = []
     for cost in CATALOG_COSTS:
         fams.append(location_family(cost, BOX1))
@@ -537,32 +522,12 @@ PINNED_FAMILIES = _pinned_families()
 
 @pytest.mark.parametrize("seed", [0, 9, 123])
 def test_array_checks_equal_loops(seed):
-    """check_responsiveness and check_smoothness draw the old loops'
-    random numbers in the same order and return identical (ok, evidence),
-    nan errors included."""
-    unrun = 0
+    """check_smoothness draws the old loop's random numbers in the same
+    order and returns identical (ok, evidence), nan errors included."""
     for fam in PINNED_FAMILIES:
         assert _equal_nan(check_smoothness(fam, seed=seed), _smoothness_loop(fam, seed=seed))
         assert _equal_nan(check_smoothness(fam, n_points=3, seed=seed), _smoothness_loop(fam, n_points=3, seed=seed))
-        for epsilon in (0.01, 0.5, 10.0):
-            got = check_responsiveness(fam, epsilon=epsilon, seed=seed)
-            assert got == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)
-            unrun += got[1]["n_probes_run"] < got[1]["n_probe"] * fam.k
-    assert unrun > 0
     narrow = PINNED_FAMILIES[-1]
     assert math.isnan(derivative_consistency(narrow.instantiate([8.75]), np.array([0.0]))[1])
     ok, evidence = check_smoothness(narrow, seed=seed)
     assert math.isnan(evidence["max_pdf_err"]) and not ok
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    kind=st.sampled_from([normal, logistic, gumbel]),
-    scale=st.floats(0.02, 3.0),
-    epsilon=st.floats(1e-4, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_responsiveness_equals_loop(kind, scale, epsilon, seed):
-    """The coarse-to-fine sup gives the evidence of the full sup of every probe."""
-    fam = location_family(kind(0.0, scale), BOX1)
-    assert check_responsiveness(fam, epsilon=epsilon, seed=seed) == _responsiveness_loop(fam, epsilon=epsilon, seed=seed)

@@ -8,9 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import DELTA0, PHI1_PDF, logistic_cdf
+from conftest import DELTA0, PHI1_PDF, logistic_cdf, suite_cost_specs
 from threshold_lab import (
     CertificateMissingError,
     FamilyCertificate,
@@ -51,7 +51,7 @@ def interval_fraction(tau, lo=-3.0, hi=3.0):
 @pytest.fixture(scope="module")
 def logistic_location():
     fam = location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
-    return fam, certify(fam)
+    return fam, certify(fam, DELTA0)
 
 
 def make_spec(fam, pair, **over):
@@ -209,7 +209,7 @@ def test_negative_control_fraction_one(std_pair):
     set, so every sample coincides and the verdict must come out negative."""
     pinned = logistic(DELTA0, 1.0)
     fam = mixture_linear_family((pinned, pinned), ParameterBox((0.2,), (0.8,)))
-    cert = certify(fam)
+    cert = certify(fam, std_pair.gap(0.0))
     assert not cert.responsive_ok
     res = coincidence_fraction(make_spec(fam, std_pair, n_samples=500, seed=13), cert)
     assert res.fractions == (1.0, 1.0, 1.0)
@@ -218,10 +218,53 @@ def test_negative_control_fraction_one(std_pair):
     assert not report.consistent
 
 
+#: basis members on a 0.1 grid of locations and scales: two members' CDFs
+#: at a pivot then differ by far more than RESPONSIVENESS_MIN_MOVE or not
+#: at all, so transversality cannot hinge on the threshold itself
+GRID_MEMBERS = st.builds(
+    lambda make, loc, scale: make(loc / 10.0, scale / 10.0),
+    st.sampled_from([normal, logistic, gumbel]),
+    st.integers(-30, 30),
+    st.integers(5, 30),
+)
+CATALOG_MEMBERS = st.one_of(st.sampled_from([cost for _, cost in suite_cost_specs()]), GRID_MEMBERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_responsive_iff_foc_gap_moves(std_pair, data):
+    """Over mixture_linear bases drawn from the catalog, some forced to
+    share G(p) (every member centred at p by a symmetric kind, so G(p) =
+    1/2, or one member repeated), the certificate at the sweep's pivot
+    refuses the family exactly when a seeded sweep's foc_gap is constant
+    over the box to a few ulps of pdf0(0): foc_gap = (1 - 2 F(p | x)) pdf0(0),
+    so 8 ulps of 1.0 in F(p | x) (at most about 2 are seen) against
+    more than 1e13 when the family is transversal."""
+    reward = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    pivot = reward * std_pair.gap(0.0)
+    k = data.draw(st.integers(1, 3))
+    centred = st.builds(lambda make, scale: make(pivot, scale / 10.0), st.sampled_from([normal, logistic]),
+                        st.integers(2, 30))
+    forced = data.draw(st.sampled_from(["free", "repeated", "centred"]))
+    if forced == "centred":
+        basis = data.draw(st.lists(centred, min_size=k + 1, max_size=k + 1))
+    elif forced == "repeated":
+        basis = [data.draw(CATALOG_MEMBERS)] * (k + 1)
+    else:
+        basis = data.draw(st.lists(st.one_of(CATALOG_MEMBERS, centred), min_size=k + 1, max_size=k + 1))
+    fam = mixture_linear_family(basis, ParameterBox((0.05,) * k, (0.9 / k,) * k))
+    cert = certify(fam, pivot)
+    spec = make_spec(fam, std_pair, reward=reward, n_samples=64, tolerances=(0.1,),
+                     seed=data.draw(st.integers(0, 2**32 - 1)))
+    focs = coincidence_fraction(spec, cert).foc_gaps
+    flat = bool(np.ptp(focs) <= 2.0 * 8 * math.ulp(1.0) * std_pair.g0.pdf(0.0))
+    assert cert.responsive_ok == (not flat), (forced, np.ptp(focs))
+
+
 def test_degenerate_fit_flagged(std_pair):
     """A family far from the coincidence set yields all-zero fractions."""
     fam = location_family(logistic(0, 1), ParameterBox((2.0,), (3.0,)))
-    cert = certify(fam)
+    cert = certify(fam, std_pair.gap(0.0))
     res = coincidence_fraction(make_spec(fam, std_pair, n_samples=200, seed=1, tolerances=(0.01, 0.001)), cert)
     assert res.fractions == (0.0, 0.0)
     assert res.degenerate_fit
@@ -377,7 +420,7 @@ def test_two_parameter_family_slope(std_pair):
         (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)),
         ParameterBox((0.1, 0.1), (0.45, 0.45)),
     )
-    cert = certify(fam)
+    cert = certify(fam, std_pair.gap(0.0))
     spec = make_spec(fam, std_pair, n_samples=8000, seed=17,
                      tolerances=(0.03, 0.01, 0.003, 0.001))
     res = coincidence_fraction(spec, cert)
