@@ -44,7 +44,6 @@ from .families import (
     FamilyCertificate,
     ParameterBox,
     certify,
-    check_smoothness,
     location_family,
     location_scale_family,
     make_cost_family,
@@ -72,7 +71,6 @@ from .signals import (
     AdmissibilityReport,
     SignalPair,
     check_admissible,
-    check_mlrp,
     find_crossing,
     normalize_pair,
 )
@@ -90,7 +88,6 @@ __all__ = [
     # signals
     "SignalPair",
     "AdmissibilityReport",
-    "check_mlrp",
     "find_crossing",
     "normalize_pair",
     "check_admissible",
@@ -102,7 +99,6 @@ __all__ = [
     "location_family",
     "location_scale_family",
     "mixture_linear_family",
-    "check_smoothness",
     "certify",
     # equilibrium
     "ModelConfig",

@@ -3,10 +3,11 @@
 Subcommands:
 
 * ``check``       -- admissibility report for the signal pair, plus the
-                     family certificate when a cost family is configured
-                     (``responsive_ok`` is transversality at the pivot
-                     r * gap(0) of the normalized pair, null when the pair
-                     is not admissible)
+                     family certificate's three flags when a cost family
+                     is configured (``smooth_ok`` and ``linear_ok`` from
+                     the kind; ``responsive_ok`` is transversality at the
+                     pivot r * gap(0) of the normalized pair, null when
+                     the pair is not admissible)
 * ``equilibrium`` -- prevalence / payoff / slope table over a t-grid (CSV)
 * ``optimize``    -- both optima and the equivalence verdict (JSON)
 * ``sweep``       -- coincidence-measure experiment (CSV + JSON summary)
@@ -50,7 +51,7 @@ from .output import (
     write_sweep_csv,
     write_xy,
 )
-from .signals import SignalPair, check_admissible, normalize_pair
+from .signals import SignalPair, _normalized, check_admissible, normalize_pair
 
 __all__ = ["main", "run_cli"]
 
@@ -177,9 +178,8 @@ def _cmd_check(args) -> int:
         "config": cfg.echo,
     }
     if cfg.family is not None:
-        pivot = cfg.reward * normalize_pair(cfg.g0, cfg.g1).gap(0.0) if report.admissible else None
-        cert = certify(cfg.family, pivot)
-        payload["cost_family"] = {**cert.summary(), "evidence": cert.evidence}
+        pivot = cfg.reward * _normalized(cfg.g0, cfg.g1, report).gap(0.0) if report.admissible else None
+        payload["cost_family"] = certify(cfg.family, pivot).summary()
     _emit(payload, args.out, "check.json")
     return 0
 
@@ -301,11 +301,10 @@ def _cmd_demo(args) -> int:
     stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%d-%H%M%S")
     out_dir = (args.out if args.out is not None else Path("runs")) / f"demo-{stamp}"
     cfg = load_config_dict(DEMO_CONFIG)
-    pair = _build_pair(cfg)
-    model = ModelConfig(pair=pair, cost=cfg.cost, reward=cfg.reward)
-
     report = check_admissible(cfg.g0, cfg.g1)
     print(f"[demo] pair admissible: {report.admissible} (ratio slope >= {report.min_ratio_slope:.3f})")
+    pair = _normalized(cfg.g0, cfg.g1, report)
+    model = ModelConfig(pair=pair, cost=cfg.cost, reward=cfg.reward)
 
     _write_equilibrium(out_dir, model, np.linspace(*cfg.grid[:2], cfg.grid[2]))
 

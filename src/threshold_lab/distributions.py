@@ -21,8 +21,12 @@ Floating-point conventions
 Construction is the only validation gate: ``ScalarDistribution`` (built
 directly, by ``make_distribution`` or by the ``normal`` / ``logistic`` /
 ``gumbel`` / ``mixture`` helpers) rejects nonpositive scales, non-finite
-parameters, and non-normalized mixtures.
-Instances are frozen and safe to share across threads.
+parameters, and non-normalized mixtures.  What it admits is C-infinity
+on the real line (a finite location, a scale > 0, positive mixture
+weights), the smoothness the model assumes, so nothing measures it;
+``derivative_consistency`` is a finite-difference diagnostic of the
+evaluators' formulas.  Instances are frozen and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ __all__ = [
 ]
 
 PDF_FLOOR = 1e-300
-#: step and tolerances for the centered finite-difference self-checks
+#: step and tolerances of ``derivative_consistency``, the centered
+#: finite-difference check of the evaluators
 FD_STEP = 1e-4
 CDF_PDF_TOL = 1e-6
 PDF_PRIME_TOL = 1e-5
@@ -263,22 +268,12 @@ def mixture(components) -> ScalarDistribution:
     return make_distribution("mixture", components=components)
 
 
-def _fd_errors(evaluate, ts, step: float = FD_STEP):
-    """Elementwise |pdf - d(cdf)/dt| and |pdf' - d(pdf)/dt| at ts by
-    centered differences.
-
-    ``evaluate(what, t)`` is one distribution's ``evaluate``, or a cost
-    family's evaluation of one member per row of ts.
-    """
-    fd_pdf = (evaluate("cdf", ts + step) - evaluate("cdf", ts - step)) / (2.0 * step)
-    fd_prime = (evaluate("pdf", ts + step) - evaluate("pdf", ts - step)) / (2.0 * step)
-    return np.abs(evaluate("pdf", ts) - fd_pdf), np.abs(evaluate("pdf_prime", ts) - fd_prime)
-
-
 def derivative_consistency(d: ScalarDistribution, ts, step: float = FD_STEP):
     """Max |pdf - d(cdf)/dt| and |pdf' - d(pdf)/dt| by centered differences.
 
-    Returns ``(cdf_err, pdf_err)``.  Catalog members satisfy
+    A diagnostic of the evaluators' closed forms, for tests and demos; no
+    model check runs it, since every catalog member is smooth by
+    construction.  Returns ``(cdf_err, pdf_err)``.  Catalog members satisfy
     ``cdf_err < CDF_PDF_TOL`` and ``pdf_err < PDF_PRIME_TOL`` on any grid
     when their scale is at least 0.1 (normal), 0.07 (logistic) or 0.12
     (gumbel), and mixtures of such members do too.  Narrower members fail
@@ -290,5 +285,7 @@ def derivative_consistency(d: ScalarDistribution, ts, step: float = FD_STEP):
     than ~709 scales left of its location, and so is ``pdf_err`` on a grid
     that reaches there; and beyond |t| ~ 1e5 the points t +- step round.
     """
-    cdf_err, pdf_err = _fd_errors(d.evaluate, _as_array(ts), step)
-    return float(np.max(cdf_err)), float(np.max(pdf_err))
+    ts = _as_array(ts)
+    fd_pdf = (d.cdf(ts + step) - d.cdf(ts - step)) / (2.0 * step)
+    fd_prime = (d.pdf(ts + step) - d.pdf(ts - step)) / (2.0 * step)
+    return float(np.max(np.abs(d.pdf(ts) - fd_pdf))), float(np.max(np.abs(d.pdf_prime(ts) - fd_prime)))

@@ -23,16 +23,19 @@ or the upper corner, so mixture_linear checks only those two, never all
 then only check that their rows lie in the box.
 
 ``certify`` reports the three structural requirements a family must meet
-before a coincidence sweep is meaningful.  Parameter-linearity of the
-density comes from the kind: mixture_linear has it by construction, and
-no location or location-scale family over a box of positive volume has
-it, since a density that shifts (or scales) with x is not affine in x.
-The sweep machinery accepts those kinds anyway and reports the flag.
-Twice-smoothness of every member is measured, through the same array
-dispatch as ``cdf_at`` / ``pdf_at`` (which also gives pdf').
-Responsiveness is the condition the measure-zero argument uses:
-transversality of the coincidence set at the prevalence pivot, in closed
-form (see ``certify`` and the ``genericity`` module docstring).
+before a coincidence sweep is meaningful.  Smoothness and
+parameter-linearity of the density come from the kind.  Every family is
+C-infinity in (t, x): a location family shifts a C-infinity catalog
+template, a location_scale family also scales it by x_2 > 0, and a
+mixture_linear family is affine in x over C-infinity basis members, so
+nothing is measured for either flag.  mixture_linear has linearity by
+construction, and no location or location-scale family over a box of
+positive volume has it, since a density that shifts (or scales) with x
+is not affine in x.  The sweep machinery accepts those kinds anyway and
+reports the flag.  Responsiveness is the condition the measure-zero
+argument uses: transversality of the coincidence set at the prevalence
+pivot, in closed form (see ``certify`` and the ``genericity`` module
+docstring).
 """
 
 from __future__ import annotations
@@ -42,13 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    CDF_PDF_TOL,
-    PDF_PRIME_TOL,
-    ScalarDistribution,
-    _evaluate_mixture,
-    _fd_errors,
-)
+from .distributions import ScalarDistribution, _evaluate_mixture
 from .errors import DegenerateWeightsError, DistributionError, OutOfBoxError
 
 __all__ = [
@@ -59,7 +56,6 @@ __all__ = [
     "location_family",
     "location_scale_family",
     "mixture_linear_family",
-    "check_smoothness",
     "certify",
 ]
 
@@ -265,16 +261,14 @@ def make_cost_family(kind, box: ParameterBox, template=None, basis=None) -> Cost
 class FamilyCertificate:
     """The three structural requirements of a family.
 
-    ``linear_ok`` is the family's kind (mixture_linear or not);
-    ``smooth_ok`` is measured, and ``evidence`` holds its measurements
-    under ``"smoothness"``; ``responsive_ok`` is transversality at the
-    pivot, None when ``certify`` was given none.
+    ``smooth_ok`` and ``linear_ok`` are the family's kind (every kind is
+    smooth; only mixture_linear is linear); ``responsive_ok`` is
+    transversality at the pivot, None when ``certify`` was given none.
     """
 
     smooth_ok: bool
     linear_ok: bool
     responsive_ok: bool | None
-    evidence: dict
 
     @property
     def all_ok(self) -> bool:
@@ -288,31 +282,12 @@ class FamilyCertificate:
         }
 
 
-def check_smoothness(fam: CostFamily, n_points: int = 20, seed: int = 0):
-    """Finite-difference self-consistency of family members.
-
-    Draws random (x, t) pairs and verifies, one member per pair in one
-    array pass, that pdf matches the centered difference of cdf (tol
-    CDF_PDF_TOL) and pdf' matches the centered difference of pdf (tol
-    PDF_PRIME_TOL), as ``derivative_consistency`` does for one
-    distribution.  As there, a nan error (a gumbel pdf' far in its left
-    tail) makes its maximum nan, which fails the check.
-    """
-    rng = np.random.default_rng(seed)
-    xs = fam.box.sample(rng, n_points)
-    ts = rng.uniform(-8.0, 8.0, n_points)
-    errs = _fd_errors(lambda what, t: fam._eval_at(what, t, xs), ts)
-    worst_cdf, worst_pdf = (float(np.max(e, initial=0.0)) for e in errs)
-    ok = worst_cdf < CDF_PDF_TOL and worst_pdf < PDF_PRIME_TOL
-    return ok, {"max_cdf_err": worst_cdf, "max_pdf_err": worst_pdf, "n_points": n_points}
-
-
 def certify(fam: CostFamily, pivot: float | None) -> FamilyCertificate:
     """Certify a family at the prevalence pivot p = r * gap(0).
 
-    Linearity is the kind and smoothness is measured by
-    ``check_smoothness``.  ``responsive_ok`` says whether the coincidence
-    set {x : F(p | x) = 1/2} is transversal, dF(p | x)/dx != 0, in closed
+    Smoothness and linearity are the kind (see the module docstring).
+    ``responsive_ok`` says whether the coincidence set
+    {x : F(p | x) = 1/2} is transversal, dF(p | x)/dx != 0, in closed
     form.  A location kind has F(p | x) = F0((p - x_1) / x_2) (x_2 = 1 for
     location), strictly falling in x_1 because every catalog density is
     positive, so it is True by kind.  A mixture_linear family has
@@ -321,7 +296,6 @@ def certify(fam: CostFamily, pivot: float | None) -> FamilyCertificate:
     exceeds RESPONSIVENESS_MIN_MOVE in magnitude.  With no pivot (the pair
     is not admissible) it is None.
     """
-    smooth_ok, smooth_ev = check_smoothness(fam)
     if pivot is None:
         responsive_ok = None
     elif fam.kind == "mixture_linear":
@@ -329,9 +303,4 @@ def certify(fam: CostFamily, pivot: float | None) -> FamilyCertificate:
         responsive_ok = max(abs(gi - last) for gi in g) > RESPONSIVENESS_MIN_MOVE
     else:
         responsive_ok = True
-    return FamilyCertificate(
-        smooth_ok=smooth_ok,
-        linear_ok=fam.kind == "mixture_linear",
-        responsive_ok=responsive_ok,
-        evidence={"smoothness": smooth_ev},
-    )
+    return FamilyCertificate(smooth_ok=True, linear_ok=fam.kind == "mixture_linear", responsive_ok=responsive_ok)

@@ -5,7 +5,10 @@ compliance-optimal and accuracy-optimal thresholds coincide?  The
 coincidence set is where the payoff slope at the compliance optimum
 vanishes, i.e. F(p | x) = 1/2 at the pivot p = r * gap(0) -- one scalar
 equation in k parameters, hence a measure-zero set when dF(p | x)/dx is
-nonzero for almost every x in the box.  The ``certify`` responsiveness
+nonzero for almost every x in the box.  F(p | x) is C-infinity in x for
+every family kind (the catalog and the kinds are smooth by construction,
+see the ``families`` module docstring), so transversality is the one
+hypothesis left to check.  The ``certify`` responsiveness
 flag is that transversality at the sweep's pivot, in closed form; a
 mixture_linear family whose basis CDFs all agree at p fails it, and if
 they all equal 1/2 there it lies wholly on the coincidence set (README,

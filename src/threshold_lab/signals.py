@@ -7,8 +7,8 @@ compliance.  The pair is *admissible* when the likelihood ratio
 once.  Admissible pairs are normalized by translating both distributions so
 the density crossing sits at ``t = 0``; downstream formulas assume this.
 
-All of it is checked numerically by one scan (``check_mlrp``) on a grid
-whose window follows the pair: ``MLRP_GRID_N`` points on
+All of it is checked numerically by one scan (``check_admissible``) on a
+grid whose window follows the pair: ``MLRP_GRID_N`` points on
 ``c + [MLRP_GRID_LO, MLRP_GRID_HI]``, where ``c`` is the midpoint of the
 two location parameters (weight-averaged over components for a mixture).
 The model is translation invariant, and so is the scan: moving both
@@ -17,8 +17,9 @@ pass yields the log-ratio increments and the density-difference crossings,
 each one bracket ``(a, b, falls)``: two adjacent grid points with a strict
 sign flip, or ``a == b`` at an exact zero, with the sign before it read
 from the scan.  A unique crossing is bisected from its bracket without
-re-evaluating the ends; ``find_crossing``, ``normalize_pair`` and
-``check_admissible`` read the report.
+re-evaluating the ends; ``find_crossing`` and ``normalize_pair`` read
+the report.  Smoothness, the other hypothesis of the model, is not
+scanned for: every catalog distribution is C-infinity by construction.
 
 The monotone-ratio check runs on ``log_pdf`` differences: analytic
 log-densities stay finite deep in the tails where the densities themselves
@@ -27,11 +28,11 @@ underflow, so the strictness test is not poisoned by the 1e-300 pdf floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PDF_FLOOR, ScalarDistribution, derivative_consistency, CDF_PDF_TOL, PDF_PRIME_TOL
+from .distributions import PDF_FLOOR, ScalarDistribution
 from .errors import AdmissibilityError, NoCrossingError
 
 __all__ = [
@@ -44,10 +45,9 @@ __all__ = [
     "BISECT_WIDTH",
     "AdmissibilityReport",
     "SignalPair",
-    "check_mlrp",
+    "check_admissible",
     "find_crossing",
     "normalize_pair",
-    "check_admissible",
 ]
 
 # scan window, as offsets from the pair's centre: wide enough to exercise
@@ -60,7 +60,8 @@ MLRP_GRID_N = 2001
 #: consecutive log-ratio increments must exceed this to count as strictly
 #: increasing; separates genuine violations from floating-point ties
 MLRP_STRICT_TOL = 1e-12
-#: |pdf0 - pdf1| at the refined crossing
+#: |pdf0 - pdf1| at the refined crossing; a crossing that misses it is
+#: left unlocated
 CROSSING_MATCH_TOL = 1e-10
 #: density agreement at 0 required of a normalized pair
 NORMALIZED_DENSITY_TOL = 1e-9
@@ -90,11 +91,11 @@ class AdmissibilityReport:
     """Verdict and evidence from the numeric admissibility scan.
 
     ``grid`` is the scan window ``(lo, hi, n)``.  ``crossing_location``
-    is None unless the crossing is unique and located above the pdf
-    floor.  ``support_ok`` (both log-densities finite over the window)
-    comes from the scan; ``smooth_ok`` is populated by
-    ``check_admissible`` (the composite gate) and is None when only the
-    scan ran.
+    is None unless the crossing is unique and located: above the pdf
+    floor, with the densities matching within CROSSING_MATCH_TOL.
+    ``support_ok`` says both log-densities are finite over the window.
+    ``smooth_ok`` is True: smoothness is the catalog's kind, not a scan
+    result.
     """
 
     mlrp_ok: bool
@@ -102,8 +103,8 @@ class AdmissibilityReport:
     crossing_location: float | None
     min_ratio_slope: float
     grid: tuple[float, float, int]
-    smooth_ok: bool | None = None
-    support_ok: bool | None = None
+    support_ok: bool
+    smooth_ok = True
 
     @property
     def admissible(self) -> bool:
@@ -111,8 +112,7 @@ class AdmissibilityReport:
             self.mlrp_ok
             and self.crossing_count == 1
             and self.crossing_location is not None
-            and bool(self.smooth_ok)
-            and bool(self.support_ok)
+            and self.support_ok
         )
 
 
@@ -199,7 +199,7 @@ def _bisect(f, a: float, b: float, falls: bool) -> float:
     return 0.5 * (a + b)
 
 
-def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
+def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
     """The admissibility scan: one pass over the pair's centred window.
 
     The ratio is strictly increasing iff every consecutive increment of
@@ -208,10 +208,12 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     crossing location when it is unique, the window as ``(lo, hi, n)``,
     and ``support_ok``: both log-densities finite over the whole window.
 
-    A crossing where either density sits on PDF_FLOOR is left unlocated
-    (``crossing_location`` None): there the floor, not the densities,
-    made ``pdf0 - pdf1`` vanish, e.g. the run of exact zeros between two
-    well-separated signals.
+    A unique crossing is left unlocated (``crossing_location`` None) where
+    either density sits on PDF_FLOOR, since there the floor, not the
+    densities, made ``pdf0 - pdf1`` vanish (e.g. the run of exact zeros
+    between two well-separated signals), and where the bisection stopped
+    at the float spacing before the densities matched within
+    CROSSING_MATCH_TOL.
     """
     grid = _scan_grid(g0, g1)
     # -inf - -inf is nan where both log-densities overflow; that fails the check
@@ -224,7 +226,8 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     location = None
     if len(brackets) == 1:
         t = _bisect(lambda u: g0.pdf(u) - g1.pdf(u), *brackets[0])
-        if min(g0.pdf(t), g1.pdf(t)) > PDF_FLOOR:
+        p0, p1 = g0.pdf(t), g1.pdf(t)
+        if min(p0, p1) > PDF_FLOOR and abs(p0 - p1) <= CROSSING_MATCH_TOL:
             location = t
     return AdmissibilityReport(
         mlrp_ok=bool(np.all(increments > MLRP_STRICT_TOL)),
@@ -237,8 +240,8 @@ def check_mlrp(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityR
     )
 
 
-def _unique_crossing(g0: ScalarDistribution, g1: ScalarDistribution, report: AdmissibilityReport) -> float:
-    """The report's crossing, once it is unique and matches the densities."""
+def _unique_crossing(report: AdmissibilityReport) -> float:
+    """The report's crossing, once it is unique and located."""
     lo, hi, _ = report.grid
     if report.crossing_count == 0:
         raise NoCrossingError(f"density difference has no sign change on [{lo}, {hi}]")
@@ -249,15 +252,10 @@ def _unique_crossing(g0: ScalarDistribution, g1: ScalarDistribution, report: Adm
         )
     if report.crossing_location is None:
         raise AdmissibilityError(
-            f"the densities cross on the pdf floor {PDF_FLOOR:g}; crossing unresolved"
+            f"crossing unresolved: the densities cross on the pdf floor {PDF_FLOOR:g}, "
+            f"or crossing refinement stalled before |pdf0 - pdf1| <= {CROSSING_MATCH_TOL:g}"
         )
-    t_star = report.crossing_location
-    mismatch = abs(g0.pdf(t_star) - g1.pdf(t_star))
-    if mismatch > CROSSING_MATCH_TOL:
-        raise AdmissibilityError(
-            f"crossing refinement stalled: |pdf0 - pdf1| = {mismatch:.3e} at t* = {t_star}"
-        )
-    return t_star
+    return report.crossing_location
 
 
 def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
@@ -266,40 +264,30 @@ def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
     Raises NoCrossingError when the density difference never changes sign
     in the scan window (non-admissible pair, or a crossing beyond the
     window), and AdmissibilityError when it changes sign more than once,
-    only on the pdf floor, or the refined crossing misses
-    CROSSING_MATCH_TOL.
+    or the scan left its crossing unlocated (on the pdf floor, or
+    missing CROSSING_MATCH_TOL).
     """
-    return _unique_crossing(g0, g1, check_mlrp(g0, g1))
+    return _unique_crossing(check_admissible(g0, g1))
+
+
+def _normalized(g0: ScalarDistribution, g1: ScalarDistribution, report: AdmissibilityReport) -> SignalPair:
+    """``normalize_pair`` on a pair whose scan ``report`` the caller holds."""
+    if not (report.mlrp_ok and report.support_ok):
+        raise AdmissibilityError(
+            f"cannot normalize: strictly increasing likelihood ratio {report.mlrp_ok} "
+            f"(min slope {report.min_ratio_slope:.3e}), finite log-densities {report.support_ok}"
+        )
+    t_star = _unique_crossing(report)
+    return SignalPair(g0=g0.shifted(-t_star), g1=g1.shifted(-t_star), shift=t_star)
 
 
 def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair:
     """Translate both distributions so the density crossing sits at 0.
 
-    Requires the monotone-ratio check to pass and takes the crossing from
-    the same scan.  The scan is translation invariant (its window follows
-    the pair), so the translated pair is not scanned again.  Idempotent:
-    normalizing a normalized pair records shift 0.
+    Succeeds exactly when ``check_admissible`` says the pair is
+    admissible, and takes the crossing from that scan.  The scan is
+    translation invariant (its window follows the pair), so the
+    translated pair is not scanned again.  Idempotent: normalizing a
+    normalized pair records shift 0.
     """
-    report = check_mlrp(g0, g1)
-    if not report.mlrp_ok:
-        raise AdmissibilityError(
-            "likelihood ratio is not strictly increasing "
-            f"(min slope {report.min_ratio_slope:.3e}); cannot normalize"
-        )
-    t_star = _unique_crossing(g0, g1, report)
-    return SignalPair(g0=g0.shifted(-t_star), g1=g1.shifted(-t_star), shift=t_star)
-
-
-def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
-    """Composite gate: smoothness + full support + monotone ratio + unique crossing.
-
-    Smoothness is the finite-difference self-consistency of each
-    distribution at 17 probe points on the window centre +- 8; support
-    and the rest come from the admissibility scan.
-    """
-    probes = _window_centre(g0, g1) + np.linspace(-8.0, 8.0, 17)
-    smooth_ok = True
-    for d in (g0, g1):
-        cdf_err, pdf_err = derivative_consistency(d, probes)
-        smooth_ok = smooth_ok and cdf_err < CDF_PDF_TOL and pdf_err < PDF_PRIME_TOL
-    return replace(check_mlrp(g0, g1), smooth_ok=smooth_ok)
+    return _normalized(g0, g1, check_admissible(g0, g1))

@@ -365,8 +365,7 @@ def test_check_certifies_cost_family(sweep_config, tmp_path, capsys):
     assert main(["check", "--config", str(sweep_config), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "check.json").read_text(encoding="utf-8"))
     family = payload["cost_family"]
-    assert set(family) == {"smooth_ok", "linear_ok", "responsive_ok", "evidence"}
-    assert set(family["evidence"]) == {"smoothness"}
+    assert list(family) == ["smooth_ok", "linear_ok", "responsive_ok"]
     # a location family is smooth and responsive, but not linear in its parameter
     assert (family["smooth_ok"], family["linear_ok"], family["responsive_ok"]) == (True, False, True)
 
@@ -429,6 +428,37 @@ def test_check_inadmissible_pair_has_no_pivot(tmp_path, capsys):
     family = payload["cost_family"]
     assert family["responsive_ok"] is None
     assert (family["smooth_ok"], family["linear_ok"]) == (True, False)
+
+
+def test_check_narrow_pair_is_admissible(tmp_path, capsys):
+    """normal(0, 0.05) against normal(0.1, 0.05) normalizes, and ``check``
+    calls it admissible: smoothness is the catalog's kind, so no
+    finite-difference probe at a step too coarse for the scale vetoes it."""
+    narrow = {"g0": {"kind": "normal", "params": [0, 0.05]}, "g1": {"kind": "normal", "params": [0.1, 0.05]}}
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps({"signal_pair": narrow, "cost_family": DEMO_CONFIG["cost_family"]}))
+    assert main(["check", "--config", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["signal_pair"]["admissible"] and payload["signal_pair"]["smooth_ok"]
+    assert payload["signal_pair"]["crossing_location"] == pytest.approx(0.05, abs=1e-12)
+    assert list(payload["cost_family"]) == ["smooth_ok", "linear_ok", "responsive_ok"]
+
+
+def test_check_and_demo_scan_the_pair_once(tmp_path, capsys, monkeypatch):
+    """``check`` and ``demo`` normalize the pair from the admissibility
+    report they hold, so each scans its pair once."""
+    import threshold_lab.signals as signals
+
+    scans = []
+    scan_grid = signals._scan_grid
+    monkeypatch.setattr(signals, "_scan_grid", lambda g0, g1: scans.append(g0) or scan_grid(g0, g1))
+    path = tmp_path / "check.json"
+    path.write_text(json.dumps(DEMO_CONFIG))
+    assert main(["check", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["cost_family"]["responsive_ok"] is True
+    assert len(scans) == 1
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    assert len(scans) == 2
 
 
 def test_sweep_requires_family(model_config, capsys):

@@ -324,7 +324,7 @@ def _sweep_result(mode, samples, focs, accs, metrics, tolerances):
         fractions=tuple(float(np.mean(metrics < t)) for t in tolerances),
         scaling_slope=1.0, degenerate_fit=False, n_samples=n, seed=0, mode=mode,
         samples=samples, foc_gaps=focs, accuracy_thresholds=accs, metrics=metrics,
-        certificate=FamilyCertificate(True, True, True, {}),
+        certificate=FamilyCertificate(True, True, True),
     )
 
 

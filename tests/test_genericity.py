@@ -152,7 +152,7 @@ def test_batched_equals_scalar(std_pair, suite_pairs):
     member exactly, for every family kind, template kind and reward."""
     pairs = [std_pair] + [next(p for name, p in suite_pairs if name.startswith(kind))
                           for kind in ("gumbel", "mixture")]
-    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True, evidence={})
+    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True)
     for template in TEMPLATES:
         for fam, pair, r in itertools.product(families_of(template), pairs, (0.5, 1.0, 2.0)):
             res = coincidence_fraction(make_spec(fam, pair, reward=r, n_samples=100, seed=5), cert)
@@ -168,7 +168,7 @@ def test_batched_accuracy_equals_scalar(std_pair):
     bisection levels for 1 row, 7 for 2, 5 for 12, 2 for 133 and 1 from 134
     rows on, while the scalar path always runs at depth 8; every family
     kind meets every count."""
-    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True, evidence={})
+    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True)
     counts = itertools.cycle((1, 2, 12, 133, 134, 200))
     for template in TEMPLATES:
         for (fam, r), n in zip(itertools.product(families_of(template), (0.5, 1.0, 2.0)), counts):
@@ -349,7 +349,7 @@ def _metrics_report(seed, metrics, tolerances=(0.3, 0.1, 0.01, 0.001)):
         tolerances=tolerances, fractions=fractions, scaling_slope=slope, degenerate_fit=degenerate,
         n_samples=n, seed=seed, mode="foc_gap", samples=np.zeros((n, 1)), foc_gaps=metrics,
         accuracy_thresholds=np.full(n, math.nan), metrics=metrics,
-        certificate=FamilyCertificate(True, True, True, {}),
+        certificate=FamilyCertificate(True, True, True),
     )
 
 

@@ -10,7 +10,6 @@ from threshold_lab import (
     NoCrossingError,
     SignalPair,
     check_admissible,
-    check_mlrp,
     find_crossing,
     gumbel,
     logistic,
@@ -25,11 +24,11 @@ FINITE_GRID = np.linspace(-8.0, 8.0, 321)
 
 
 def test_mlrp_examples():
-    assert check_mlrp(normal(-1, 1), normal(1, 1)).mlrp_ok
+    assert check_admissible(normal(-1, 1), normal(1, 1)).mlrp_ok
     # log ratio of a unit-variance location pair is linear with slope 2a
-    assert check_mlrp(normal(-1, 1), normal(1, 1)).min_ratio_slope == pytest.approx(2.0, abs=1e-9)
-    assert not check_mlrp(normal(0, 1), normal(0, 4)).mlrp_ok  # quadratic log ratio
-    assert not check_mlrp(logistic(0, 1), logistic(0, 1)).mlrp_ok  # constant ratio
+    assert check_admissible(normal(-1, 1), normal(1, 1)).min_ratio_slope == pytest.approx(2.0, abs=1e-9)
+    assert not check_admissible(normal(0, 1), normal(0, 4)).mlrp_ok  # quadratic log ratio
+    assert not check_admissible(logistic(0, 1), logistic(0, 1)).mlrp_ok  # constant ratio
 
 
 def test_find_crossing_examples():
@@ -57,6 +56,10 @@ def test_find_crossing_rejects_unresolved_crossings():
         find_crossing(normal(0, 1), normal(0, 4))
     with pytest.raises(AdmissibilityError, match="crossing refinement stalled"):
         find_crossing(normal(1e5, 0.05), normal(1e5 + 0.015, 0.05))
+    # the scan leaves that crossing unlocated, so the pair is not admissible
+    report = check_admissible(normal(1e5, 0.05), normal(1e5 + 0.015, 0.05))
+    assert report.crossing_count == 1 and report.crossing_location is None
+    assert not report.admissible
 
 
 def test_normalize_examples():
@@ -144,10 +147,10 @@ def test_signalpair_validates_normalized_flag():
 
 
 def test_mlrp_grid_shape_in_report():
-    report = check_mlrp(normal(-1, 1), normal(1, 1))
+    report = check_admissible(normal(-1, 1), normal(1, 1))
     assert report.grid == (-12.0, 12.0, 2001)
     # the window is centred between the two locations
-    assert check_mlrp(normal(99, 1), normal(101, 1)).grid == (88.0, 112.0, 2001)
+    assert check_admissible(normal(99, 1), normal(101, 1)).grid == (88.0, 112.0, 2001)
 
 
 def test_normalize_translated_examples():
@@ -182,6 +185,26 @@ def test_translation_invariance(index, c):
     assert after.crossing_count == before.crossing_count
 
 
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, len(suite_pair_specs()) - 1), a=st.floats(-1e3, 1e3), s=st.floats(1e-2, 1e2))
+def test_admissible_iff_normalizable(index, a, s):
+    """On every affine image a + s * (g0, g1) of a suite pair, the scan's
+    verdict is normalization's: ``check_admissible`` says admissible
+    exactly when ``normalize_pair`` succeeds.  Narrow images of the
+    mixture pairs (s below ~0.02) are neither: the bisection stops at
+    its absolute width before the densities agree within the absolute
+    CROSSING_MATCH_TOL."""
+    _, g0, g1 = suite_pair_specs()[index]
+    h0, h1 = g0.affine(a, s), g1.affine(a, s)
+    try:
+        normalize_pair(h0, h1)
+    except AdmissibilityError:
+        normalized = False
+    else:
+        normalized = True
+    assert check_admissible(h0, h1).admissible == normalized
+
+
 @pytest.mark.parametrize("index", range(len(suite_pair_specs())))
 @settings(max_examples=10, deadline=None)
 @given(c=st.floats(-1e3, 1e3))
@@ -191,7 +214,7 @@ def test_normalized_pair_keeps_monotone_ratio(index, c):
     monotone-ratio check of the scan on its own window."""
     _, g0, g1 = suite_pair_specs()[index]
     pair = normalize_pair(g0.shifted(c), g1.shifted(c))
-    assert check_mlrp(pair.g0, pair.g1).mlrp_ok
+    assert check_admissible(pair.g0, pair.g1).mlrp_ok
 
 
 def _looped_brackets(diff, grid):
@@ -258,6 +281,15 @@ def test_support_needs_finite_log_density():
     assert report.mlrp_ok is False
     assert not report.admissible
     assert check_admissible(normal(100, 1), normal(102, 1)).support_ok
+    # a gumbel log-density that overflows at the window's first point only:
+    # the ratio still increases and the crossing is located, but without
+    # full support the pair is neither admissible nor normalized
+    g0, g1 = normal(-1, 0.1), gumbel(0, 12.5 / 709.9)
+    report = check_admissible(g0, g1)
+    assert report.mlrp_ok and report.crossing_location is not None
+    assert report.support_ok is False and not report.admissible
+    with pytest.raises(AdmissibilityError, match="finite log-densities False"):
+        normalize_pair(g0, g1)
 
 
 @pytest.mark.parametrize(
