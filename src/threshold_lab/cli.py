@@ -35,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, load_config_dict
-from .equilibrium import ModelConfig, eu_pos
+from .equilibrium import ModelConfig
+from .equilibrium import eu_pos  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 from .errors import ConfigError, ThresholdLabError, VerificationFailedError
 from .families import certify
 from .genericity import SweepSpec, coincidence_fraction, scaling_report
@@ -204,8 +205,8 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _write_equilibrium(out_dir: Path, model: ModelConfig, ts) -> None:
-    write_equilibrium_csv(out_dir / "equilibrium.csv", model, ts)
-    write_xy(out_dir / "eu_curve.dat", ts, eu_pos(model, ts), labels=("t", "eu_pos"))
+    cols = write_equilibrium_csv(out_dir / "equilibrium.csv", model, ts)
+    write_xy(out_dir / "eu_curve.dat", ts, cols[EQUILIBRIUM_COLUMNS.index("eu_pos")], labels=("t", "eu_pos"))
 
 
 def _optimize(cfg: RunConfig, pair: SignalPair) -> dict:

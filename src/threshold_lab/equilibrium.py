@@ -118,10 +118,14 @@ def eu_pos(m: ModelConfig, t):
 def deu_pos(m: ModelConfig, t):
     """Slope of the accuracy payoff at finite t."""
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("deu_pos is defined for finite thresholds only")
+    _require_finite(arr)
     out = _deu_pos(m.pair, m.reward, m.cost.cdf, m.cost.pdf, arr)
     return float(out) if arr.ndim == 0 else out
+
+
+def _require_finite(t: np.ndarray) -> None:
+    if not np.all(np.isfinite(t)):
+        raise ValueError("deu_pos is defined for finite thresholds only")
 
 
 # The payoff, its slope and the slope at 0, with the cost CDF and density
@@ -150,10 +154,29 @@ def _eu_from_terms(pi, sf1, cdf0):
 
 def _deu_pos(pair: SignalPair, reward: float, cost_cdf, cost_pdf, t):
     gap, cdf0, cdf1, _, _ = pair._gap_terms(t)
+    return _deu_from_terms(pair, reward, cost_pdf, t, gap, cdf0, cdf1, cost_cdf(reward * gap))
+
+
+def _deu_from_terms(pair: SignalPair, reward: float, cost_pdf, t, gap, cdf0, cdf1, pi):
+    """The slope from the signal terms at t and the prevalence pi = F(r * gap)."""
     p0, p1 = pair.g0.pdf(t), pair.g1.pdf(t)
     dpi = cost_pdf(reward * gap) * reward * (p0 - p1)
-    pi = cost_cdf(reward * gap)
     return dpi * (1.0 - cdf0 - cdf1) - pi * (p0 + p1) + p0
+
+
+def _table_columns(m: ModelConfig, t: np.ndarray):
+    """``prevalence_pos``, ``prevalence_neg``, ``eu_pos`` and ``deu_pos`` at
+    the finite array t, with their float operations on one evaluation of
+    the signal terms."""
+    _require_finite(t)
+    gap, cdf0, cdf1, _, sf1 = m.pair._gap_terms(t)
+    pi = m.cost.cdf(m.reward * gap)
+    return (
+        pi,
+        m.cost.cdf(-m.reward * gap),
+        _eu_from_terms(pi, sf1, cdf0),
+        _deu_from_terms(m.pair, m.reward, m.cost.pdf, t, gap, cdf0, cdf1, pi),
+    )
 
 
 def _foc_at_zero(pair: SignalPair, reward: float, cost_cdf):

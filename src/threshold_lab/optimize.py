@@ -32,7 +32,10 @@ A call on few points costs about as much as a call on one (numpy
 overhead, not arithmetic, sets the price), so L is the largest depth
 with n_rows * (2**L - 1) <= n, the grid size, and at least 1: L = 8 for
 one model on the default grid, 1 from 134 rows on.  The two slopes at the
-bracket ends share one call too.
+bracket ends share one call too.  One row walks its levels in Python
+floats, through ``signals._bisect``, the density-crossing scan's
+bisection; many rows walk theirs in lockstep on arrays, where a float
+walk would cost a Python step per row and level.
 
 Coincidence of the two optima is judged by threshold proximity
 (|accuracy threshold| < tol with a finite accuracy optimum); the payoff
@@ -50,7 +53,7 @@ import numpy as np
 from .equilibrium import ModelConfig, _deu_pos, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
 from .errors import VerificationFailedError
 from .families import CostFamily
-from .signals import BISECT_WIDTH, SignalPair
+from .signals import BISECT_WIDTH, SignalPair, _bisect
 
 __all__ = [
     "SEARCH_LO",
@@ -118,10 +121,9 @@ def compliance_optimal(m: ModelConfig) -> OptResult:
     """
     if m.reward <= 0.0:
         raise ValueError("compliance_optimal requires reward > 0")
-    at_zero = prevalence_pos(m, 0.0)
-    candidates = prevalence_pos(m, _grid(SEARCH_LO, SEARCH_HI, SEARCH_N))
-    endpoints = prevalence_pos(m, np.array([-math.inf, math.inf]))
-    best = float(max(np.max(candidates), np.max(endpoints)))
+    values = prevalence_pos(m, np.concatenate([[0.0], _grid(SEARCH_LO, SEARCH_HI, SEARCH_N), [-math.inf, math.inf]]))
+    at_zero = float(values[0])
+    best = float(np.max(values[1:]))
     if best > at_zero + GUARDRAIL_SLACK:
         raise VerificationFailedError(
             f"prevalence {best!r} on the grid exceeds prevalence {at_zero!r} at 0; "
@@ -150,6 +152,47 @@ def _payoff_at(pair: SignalPair, reward: float, cost_cdf):
     return eu_at
 
 
+def _bisect_rows(deu, a, b, active, depth: int):
+    """The slope bisections of many rows in lockstep: each row in
+    ``active`` halves its bracket ``[a, b]`` by the steps of
+    ``signals._bisect`` with ``falls`` True, and one ``deu`` call per
+    round evaluates the next ``depth`` levels of every row's tree.
+    Returns the final ``(a, b, steps)``; an exact zero closes its row's
+    bracket on it."""
+    n_rows = len(a)
+    iters = np.zeros(n_rows, dtype=np.intp)
+    active = active.copy()
+    first = np.arange(n_rows) * (2**depth - 1)  # each row's root in the flat tree
+    while True:
+        mid = 0.5 * (a + b)
+        active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
+        if not active.any():
+            return a, b, iters
+        # the midpoints of the next `depth` levels of each row's bisection
+        # tree, level by level in heap order (a node's children bisect
+        # (lo, mid) and (mid, hi)), each the 0.5 * (lo + hi) of its own
+        # bracket, so the walk below meets the floats a one-level loop meets
+        tree = level = mid[:, None]
+        los, his = a[:, None], b[:, None]
+        for _ in range(depth - 1):
+            los, his = (np.stack(pair, axis=2).reshape(n_rows, -1) for pair in ((los, level), (level, his)))
+            level = 0.5 * (los + his)
+            tree = np.concatenate([tree, level], axis=1)
+        slopes = deu(tree)
+        fm, node = slopes[:, 0], first
+        for step in range(depth):
+            if step:  # down to the child the last step chose
+                node = 2 * node + 1 + up - first
+                mid, fm = np.take(tree, node), np.take(slopes, node)
+                active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
+            iters += active
+            # an exact zero moves both ends onto mid, closing the bracket; a
+            # nan moves the right end, so every step narrows the bracket
+            up = fm > 0.0
+            a = np.where(active & (fm >= 0.0), mid, a)
+            b = np.where(active & ~up, mid, b)
+
+
 def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     """The accuracy optimum of n_rows payoff curves, refined in lockstep.
 
@@ -175,39 +218,13 @@ def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     # bisect only a bracket that holds a maximum: the slope falls through 0
     ends = deu(np.column_stack([a, b]))
     bisect = (ends[:, 0] > 0.0) & (ends[:, 1] < 0.0)
-    active = bisect.copy()
     depth = _lookahead_depth(n_rows, n)
-    first = np.arange(n_rows) * (2**depth - 1)  # each row's root in the flat tree
-    while True:
-        mid = 0.5 * (a + b)
-        active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
-        if not active.any():
-            break
-        # the midpoints of the next `depth` levels of each row's bisection
-        # tree, level by level in heap order (a node's children bisect
-        # (lo, mid) and (mid, hi)), each the 0.5 * (lo + hi) of its own
-        # bracket, so the walk below meets the floats a one-level loop meets
-        tree = level = mid[:, None]
-        los, his = a[:, None], b[:, None]
-        for _ in range(depth - 1):
-            los, his = (np.stack(pair, axis=2).reshape(n_rows, -1) for pair in ((los, level), (level, his)))
-            level = 0.5 * (los + his)
-            tree = np.concatenate([tree, level], axis=1)
-        slopes = deu(tree)
-        fm, node = slopes[:, 0], first
-        for step in range(depth):
-            if step:  # down to the child the last step chose
-                node = 2 * node + 1 + up - first
-                mid, fm = np.take(tree, node), np.take(slopes, node)
-                active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
-            iters += active
-            # an exact zero moves both ends onto mid, closing the bracket; a
-            # nan moves the right end, so every step narrows the bracket
-            up = fm > 0.0
-            a = np.where(active & (fm >= 0.0), mid, a)
-            b = np.where(active & ~up, mid, b)
-    x = np.where(bisect, 0.5 * (a + b), x)
-    width = np.where(bisect, b - a, width)
+    if n_rows > 1:
+        a, b, iters = _bisect_rows(deu, a, b, bisect, depth)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        width = np.where(bisect, b - a, width)
+    elif bisect[0]:
+        x[0], width[0], iters[0] = _bisect(lambda t: deu(t[None, :])[0], float(a[0]), float(b[0]), True, depth)
 
     ends = np.column_stack([x, np.full(n_rows, -math.inf), np.full(n_rows, math.inf)])
     values = eu_at(ends)(slice(None))

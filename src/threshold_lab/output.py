@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import ModelConfig, deu_pos, eu_pos, prevalence_neg, prevalence_pos
+from .equilibrium import ModelConfig, _table_columns
 from .genericity import ScalingReport, SweepResult, coincidence_levels
 
 __all__ = [
@@ -92,7 +92,7 @@ EQUILIBRIUM_COLUMNS = ("t", "pi_pos", "pi_neg", "eu_pos", "deu_pos")
 
 
 def _equilibrium_columns(m: ModelConfig, ts: np.ndarray):
-    return ts, prevalence_pos(m, ts), prevalence_neg(m, ts), eu_pos(m, ts), deu_pos(m, ts)
+    return (ts, *_table_columns(m, ts))
 
 
 def equilibrium_table(m: ModelConfig, ts: np.ndarray):
@@ -101,10 +101,15 @@ def equilibrium_table(m: ModelConfig, ts: np.ndarray):
     return [tuple(col[i] for col in cols) for i in range(len(ts))]
 
 
-def write_equilibrium_csv(path, m: ModelConfig, ts: np.ndarray) -> None:
-    """``write_csv`` of ``equilibrium_table(m, ts)``, byte for byte."""
+def write_equilibrium_csv(path, m: ModelConfig, ts: np.ndarray):
+    """``write_csv`` of ``equilibrium_table(m, ts)``, byte for byte.
+
+    Returns the columns it wrote, in EQUILIBRIUM_COLUMNS order, so a
+    caller can plot one without evaluating it again."""
     header = ",".join(EQUILIBRIUM_COLUMNS) + "\r\n"
-    _write_csv_blocks(path, header, np.column_stack(_equilibrium_columns(m, ts)))
+    cols = _equilibrium_columns(m, ts)
+    _write_csv_blocks(path, header, np.column_stack(cols))
+    return cols
 
 
 #: rows formatted per write in the block CSV writers; bounds the text held in memory

@@ -17,9 +17,12 @@ pass yields the log-ratio increments and the density-difference crossings,
 each one bracket ``(a, b, falls)``: two adjacent grid points with a strict
 sign flip, or ``a == b`` at an exact zero, with the sign before it read
 from the scan.  A unique crossing is bisected from its bracket without
-re-evaluating the ends; ``find_crossing`` and ``normalize_pair`` read
-the report.  Smoothness, the other hypothesis of the model, is not
-scanned for: every catalog distribution is C-infinity by construction.
+re-evaluating the ends, by ``_bisect``, which the accuracy optimizer's
+one-row slope bisection shares: it evaluates the density difference on
+the midpoints of 8 levels at a time and walks them in Python floats.
+``find_crossing`` and ``normalize_pair`` read the report.  Smoothness,
+the other hypothesis of the model, is not scanned for: every catalog
+distribution is C-infinity by construction.
 
 The monotone-ratio check runs on ``log_pdf`` differences: analytic
 log-densities stay finite deep in the tails where the densities themselves
@@ -181,22 +184,54 @@ def _crossing_brackets(diff: np.ndarray, grid: np.ndarray):
     return [(float(grid[i]), float(grid[j]), bool(f)) for i, j, f in zip(a, b, sign[flips] > 0.0)]
 
 
-def _bisect(f, a: float, b: float, falls: bool) -> float:
-    """Halve the bracket ``[a, b]`` of a sign change of ``f``, evaluating
-    ``f`` only at midpoints strictly inside it; ``falls`` is whether ``f``
-    is positive at ``a``.  A degenerate bracket ``a == b`` returns ``a``."""
-    while b - a > BISECT_WIDTH:
+def _bisect(f, a: float, b: float, falls: bool, depth: int = 8):
+    """Halve the bracket ``[a, b]`` of a sign change of ``f``; ``falls`` is
+    whether ``f`` is positive at ``a``.  Returns ``(point, width, steps)``:
+    the final bracket's midpoint, or an exact zero of ``f``; the final
+    bracket's width; the halvings made.
+
+    The steps are those of a loop that evaluates ``f`` at one midpoint
+    per level: stop once ``b - a <= BISECT_WIDTH`` or the midpoint is not
+    strictly inside the bracket, return an exact zero, move ``a`` when
+    ``(f > 0) == falls`` and ``b`` otherwise (nan included).  But ``f``,
+    which must take an array, is called once per ``depth`` levels, on the
+    2**depth - 1 midpoints of those levels in ascending order (see
+    ``_midpoints``), since numpy's per-call overhead, not arithmetic,
+    prices a cheap function on 255 points or on one; the walk down those
+    levels then runs in Python floats.  A degenerate bracket makes no
+    call.
+    """
+    steps, lo, hi = 0, 0, 0  # [lo, hi]: the bracket as indices into the round's points
+    while True:
         m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = f(m)
+        if not (b - a > BISECT_WIDTH and a < m < b):
+            return m, b - a, steps
+        if hi - lo < 2:  # the round's levels are walked: evaluate the next ones
+            fs = f(_midpoints(a, b, depth)).tolist()
+            lo, hi = 0, 2**depth
+        mid = (lo + hi) // 2
+        fm = fs[mid - 1]
+        steps += 1
         if fm == 0.0:
-            return m
+            return m, 0.0, steps
         if (fm > 0.0) == falls:
-            a = m
+            a, lo = m, mid
         else:
-            b = m
-    return 0.5 * (a + b)
+            b, hi = m, mid
+
+
+def _midpoints(a: float, b: float, depth: int) -> np.ndarray:
+    """The midpoints of the first ``depth`` levels of ``[a, b]``'s bisection
+    tree, in ascending order: one strided pass per level, each point the
+    ``0.5 * (lo + hi)`` of its own bracket, so these are the floats a
+    one-level loop meets on any path down the tree."""
+    size = 2**depth
+    points = np.empty(size + 1)
+    points[0], points[size] = a, b
+    for level in range(depth):
+        s = size >> level
+        points[s // 2 :: s] = 0.5 * (points[:-1:s] + points[s::s])
+    return points[1:-1]
 
 
 def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
@@ -225,7 +260,7 @@ def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> Admissib
     brackets = _crossing_brackets(diff, grid)
     location = None
     if len(brackets) == 1:
-        t = _bisect(lambda u: g0.pdf(u) - g1.pdf(u), *brackets[0])
+        t = _bisect(lambda u: g0.pdf(u) - g1.pdf(u), *brackets[0])[0]
         p0, p1 = g0.pdf(t), g1.pdf(t)
         if min(p0, p1) > PDF_FLOOR and abs(p0 - p1) <= CROSSING_MATCH_TOL:
             location = t

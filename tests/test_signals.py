@@ -1,8 +1,10 @@
 """Admissibility scans, crossing detection, and pair normalization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshold_lab import (
@@ -17,7 +19,7 @@ from threshold_lab import (
     normal,
     normalize_pair,
 )
-from threshold_lab.signals import _bisect, _crossing_brackets, _scan_grid
+from threshold_lab.signals import BISECT_WIDTH, _bisect, _crossing_brackets, _scan_grid
 from conftest import suite_pair_specs
 
 FINITE_GRID = np.linspace(-8.0, 8.0, 321)
@@ -251,25 +253,135 @@ def test_crossing_brackets_match_loop():
     assert len(_looped_brackets(zero_run, grid)) == 3
 
 
+def _inorder_midpoints(lo, hi, levels):
+    """The midpoints of the first ``levels`` levels of [lo, hi]'s bisection
+    tree, in ascending order, each the 0.5 * (lo + hi) of its own bracket."""
+    if levels == 0:
+        return []
+    m = 0.5 * (lo + hi)
+    return _inorder_midpoints(lo, m, levels - 1) + [m] + _inorder_midpoints(m, hi, levels - 1)
+
+
 def test_bisect_evaluates_only_inside_its_bracket():
-    """The bracket's ends and sign come from the scan: ``_bisect`` calls
-    ``f`` only at midpoints strictly inside the current bracket, and a
-    degenerate bracket returns its point without a call."""
+    """The bracket's ends and sign come from the scan: each call of ``f``
+    is on the in-order midpoints of the next 8 levels below the round's
+    bracket, all strictly inside it, and a degenerate bracket makes no
+    call."""
     calls = []
 
     def f(t):
-        calls.append(t)
+        calls.append(t.copy())
         return 0.3 - t
 
-    t = _bisect(f, 0.0, 1.0, True)
-    assert abs(t - 0.3) <= 1e-12
-    lo, hi = 0.0, 1.0
-    for m in calls:
-        assert lo < m < hi and m == 0.5 * (lo + hi)
-        lo, hi = (m, hi) if 0.3 - m > 0.0 else (lo, m)
+    t, width, steps = _bisect(f, 0.1, 0.7, True)
+    assert abs(t - 0.3) <= 1e-12 and 0.0 < width <= BISECT_WIDTH
+    lo, hi, walked = 0.1, 0.7, 0
+    for points in calls:
+        assert points.tolist() == _inorder_midpoints(lo, hi, 8)
+        assert lo < points[0] and points[-1] < hi
+        for _ in range(8):  # the round's steps, by the one-level rule
+            m = 0.5 * (lo + hi)
+            if not (hi - lo > BISECT_WIDTH and lo < m < hi):
+                break
+            walked += 1
+            lo, hi = (m, hi) if 0.3 - m > 0.0 else (lo, m)
+    assert (walked, len(calls)) == (steps, -(-steps // 8))
+    assert (t, width) == (0.5 * (lo + hi), hi - lo)
     calls.clear()
-    assert _bisect(f, 0.25, 0.25, False) == 0.25
+    one_ulp = float(np.nextafter(1e5, np.inf))
+    for a, b in ((0.25, 0.25), (1e5, one_ulp), (0.3, 0.3 + BISECT_WIDTH / 2)):
+        assert _bisect(f, a, b, False) == (0.5 * (a + b), b - a, 0)
     assert calls == []
+
+
+def _one_level_bisect(f, a, b, falls):
+    """Reference: the loop that ``_bisect`` replaced, one midpoint per call
+    of f, returning what ``_bisect`` returns."""
+    steps = 0
+    while b - a > BISECT_WIDTH:
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        fm = float(f(m))
+        steps += 1
+        if fm == 0.0:
+            return m, 0.0, steps
+        if (fm > 0.0) == falls:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b), b - a, steps
+
+
+def _bits(result):
+    point, width, steps = result
+    return float(point).hex(), float(width).hex(), steps
+
+
+def _bisect_cases():
+    """(f, a, b, falls) cases: roots inside grid cells and wide brackets,
+    both signs, nan stretches on either side of the root, dyadic exact
+    zeros reached at every level, and brackets too narrow to split."""
+    rng = np.random.default_rng(2)
+    cases = []
+    brackets = [(0.0, 1.0), (-10.0, 10.0), (1e5 - 0.012, 1e5 + 0.012)]
+    brackets += [(x, x + 0.012) for x in rng.uniform(-12.0, 12.0, 6)]
+    for a, b in brackets:
+        w = (b - a) / 64.0
+        for c in rng.uniform(a, b, 3):
+            for falls in (True, False):
+                sign = 1.0 if falls else -1.0
+                cases.append((lambda t, c=c, s=sign: s * (c - np.asarray(t)), a, b, falls))
+                for side in (1.0, -1.0):  # nan on the right, then on the left of the root
+                    def nan_side(t, c=c, s=sign, side=side, w=w):
+                        t = np.asarray(t)
+                        away = side * (t - c)
+                        return np.where((away > w) & (away < 8 * w), np.nan, s * (c - t))
+
+                    cases.append((nan_side, a, b, falls))
+    for level in range(1, 42):
+        # exact zeros at a midpoint of this level: in [0, 1] the dyadic
+        # j / 2**level, j odd; in a grid cell whatever float the loop meets
+        # there, which a tree point only matches if it is computed as the
+        # loop computes it
+        c = (2 * int(rng.integers(0, 2 ** (level - 1))) + 1) / 2.0**level
+        a, b = brackets[3 + level % 6]
+        lo, hi = a, b
+        for right in rng.integers(0, 2, level - 1):
+            m = 0.5 * (lo + hi)
+            lo, hi = (m, hi) if right else (lo, m)
+        for root, lo, hi in ((c, 0.0, 1.0), (0.5 * (lo + hi), a, b)):
+            for falls in (True, False):
+                cases.append((lambda t, c=root, s=1.0 if falls else -1.0: s * (c - np.asarray(t)), lo, hi, falls))
+    one_ulp = float(np.nextafter(1e5, np.inf))
+    for a, b in ((1e5, one_ulp), (0.3, 0.3 + BISECT_WIDTH / 2), (0.3, 0.3 + 2 * BISECT_WIDTH), (0.25, 0.25)):
+        cases.append((lambda t, c=0.5 * (a + b): c - np.asarray(t), a, b, True))
+    return cases
+
+
+@pytest.mark.parametrize("depth", [1, 3, 8])
+def test_bisect_matches_one_level_loop(depth):
+    """``_bisect`` returns the one-level loop's point, width and step count
+    bit for bit, at any lookahead depth."""
+    for i, (f, a, b, falls) in enumerate(_bisect_cases()):
+        want = _one_level_bisect(f, a, b, falls)
+        assert _bits(_bisect(f, a, b, falls, depth)) == _bits(want), (i, a, b, falls)
+
+
+@pytest.mark.parametrize("index", range(len(suite_pair_specs())))
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(-1e3, 1e3), s=st.floats(1e-2, 1e2))
+@example(a=0.0, s=1.0)  # the suite pair itself
+def test_scan_crossing_matches_one_level_loop(index, a, s):
+    """The scan locates the crossing of every suite pair, and of the affine
+    images ``test_admissible_iff_normalizable`` draws, exactly where the
+    one-level loop would."""
+    _, g0, g1 = suite_pair_specs()[index]
+    h0, h1 = g0.affine(a, s), g1.affine(a, s)
+    got = check_admissible(h0, h1)
+    with mock.patch("threshold_lab.signals._bisect", _one_level_bisect):
+        want = check_admissible(h0, h1)
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
