@@ -24,18 +24,15 @@ The grid scan splits the payoff into its signal terms (the pivot
 r * gap(t), sf1(t) and cdf0(t), the same for every row) and its cost term
 F(pivot | row): the signal terms are evaluated on the grid once per call,
 the cost term one block of rows at a time.
-The bisection looks ahead: each slope call evaluates every row at the
-2**L - 1 midpoints of the next L levels of its bisection tree, each
-computed as the 0.5 * (lo + hi) of its own bracket, and the walk down
-those levels then takes exactly the steps of a one-level-per-call loop.
-A call on few points costs about as much as a call on one (numpy
-overhead, not arithmetic, sets the price), so L is the largest depth
-with n_rows * (2**L - 1) <= n, the grid size, and at least 1: L = 8 for
-one model on the default grid, 1 from 134 rows on.  The two slopes at the
-bracket ends share one call too.  One row walks its levels in Python
-floats, through ``signals._bisect``, the density-crossing scan's
-bisection; many rows walk theirs in lockstep on arrays, where a float
-walk would cost a Python step per row and level.
+One row's slope bisection runs through ``signals._bisect``, the
+density-crossing scan's bisection: each slope call evaluates the row at
+the 255 midpoints of the next 8 levels of its bisection tree, and the
+walk down those levels runs in Python floats, taking exactly the steps of
+a one-level-per-call loop (a call on 255 points costs about as much as a
+call on one: numpy overhead, not arithmetic, sets the price).  Many rows
+bisect in lockstep on arrays, one level per slope call, where a float
+walk would cost a Python step per row and level.  The two slopes at the
+bracket ends share one call.
 
 Coincidence of the two optima is judged by threshold proximity
 (|accuracy threshold| < tol with a finite accuracy optimum); the payoff
@@ -132,13 +129,6 @@ def compliance_optimal(m: ModelConfig) -> OptResult:
     return OptResult(threshold=0.0, value=at_zero, method="closed_form", iterations=0, bracket_width=0.0)
 
 
-def _lookahead_depth(n_rows: int, n: int) -> int:
-    """Bisection levels per slope call: the largest L with n_rows * (2**L - 1)
-    <= n, so one round evaluates no more points than the grid scan (L = 8 for
-    one row on the default grid, 1 from 134 rows on), and at least 1."""
-    return max((n // n_rows + 1).bit_length() - 1, 1)
-
-
 def _payoff_at(pair: SignalPair, reward: float, cost_cdf):
     """The payoff in two stages, as ``_refine`` takes it: ``eu_at(t)``
     evaluates the signal terms at t once and returns ``rows -> payoff`` of
@@ -152,45 +142,25 @@ def _payoff_at(pair: SignalPair, reward: float, cost_cdf):
     return eu_at
 
 
-def _bisect_rows(deu, a, b, active, depth: int):
+def _bisect_rows(deu, a, b, active):
     """The slope bisections of many rows in lockstep: each row in
     ``active`` halves its bracket ``[a, b]`` by the steps of
-    ``signals._bisect`` with ``falls`` True, and one ``deu`` call per
-    round evaluates the next ``depth`` levels of every row's tree.
+    ``signals._bisect`` with ``falls`` True, one level per ``deu`` call.
     Returns the final ``(a, b, steps)``; an exact zero closes its row's
     bracket on it."""
-    n_rows = len(a)
-    iters = np.zeros(n_rows, dtype=np.intp)
+    iters = np.zeros(len(a), dtype=np.intp)
     active = active.copy()
-    first = np.arange(n_rows) * (2**depth - 1)  # each row's root in the flat tree
     while True:
         mid = 0.5 * (a + b)
         active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
         if not active.any():
             return a, b, iters
-        # the midpoints of the next `depth` levels of each row's bisection
-        # tree, level by level in heap order (a node's children bisect
-        # (lo, mid) and (mid, hi)), each the 0.5 * (lo + hi) of its own
-        # bracket, so the walk below meets the floats a one-level loop meets
-        tree = level = mid[:, None]
-        los, his = a[:, None], b[:, None]
-        for _ in range(depth - 1):
-            los, his = (np.stack(pair, axis=2).reshape(n_rows, -1) for pair in ((los, level), (level, his)))
-            level = 0.5 * (los + his)
-            tree = np.concatenate([tree, level], axis=1)
-        slopes = deu(tree)
-        fm, node = slopes[:, 0], first
-        for step in range(depth):
-            if step:  # down to the child the last step chose
-                node = 2 * node + 1 + up - first
-                mid, fm = np.take(tree, node), np.take(slopes, node)
-                active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
-            iters += active
-            # an exact zero moves both ends onto mid, closing the bracket; a
-            # nan moves the right end, so every step narrows the bracket
-            up = fm > 0.0
-            a = np.where(active & (fm >= 0.0), mid, a)
-            b = np.where(active & ~up, mid, b)
+        fm = deu(mid[:, None])[:, 0]
+        iters += active
+        # an exact zero moves both ends onto mid, closing the bracket; a
+        # nan moves the right end, so every step narrows the bracket
+        a = np.where(active & (fm >= 0.0), mid, a)
+        b = np.where(active & ~(fm > 0.0), mid, b)
 
 
 def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
@@ -218,13 +188,12 @@ def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     # bisect only a bracket that holds a maximum: the slope falls through 0
     ends = deu(np.column_stack([a, b]))
     bisect = (ends[:, 0] > 0.0) & (ends[:, 1] < 0.0)
-    depth = _lookahead_depth(n_rows, n)
     if n_rows > 1:
-        a, b, iters = _bisect_rows(deu, a, b, bisect, depth)
+        a, b, iters = _bisect_rows(deu, a, b, bisect)
         x = np.where(bisect, 0.5 * (a + b), x)
         width = np.where(bisect, b - a, width)
     elif bisect[0]:
-        x[0], width[0], iters[0] = _bisect(lambda t: deu(t[None, :])[0], float(a[0]), float(b[0]), True, depth)
+        x[0], width[0], iters[0] = _bisect(lambda t: deu(t[None, :])[0], float(a[0]), float(b[0]), True)
 
     ends = np.column_stack([x, np.full(n_rows, -math.inf), np.full(n_rows, math.inf)])
     values = eu_at(ends)(slice(None))
@@ -253,11 +222,13 @@ def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_H
     toward the finite candidate, then toward the smaller threshold (an
     infinite threshold is a null policy; prefer an informative one).
     ``iterations`` counts bisection steps, not slope calls: one call
-    settles up to 8 levels (the lookahead depth for one row on the
-    default grid; see the module docstring), so the ~37 steps from a grid
-    cell of 0.1 down to BISECT_WIDTH take 5 calls.  ``bracket_width`` is
-    the final bracket (the grid cells when no bisection ran).
+    settles up to 8 levels, so the ~37 steps from a grid cell of 0.1 down
+    to BISECT_WIDTH take 5 calls.  ``bracket_width`` is the final bracket
+    (the grid cells when no bisection ran).  Raises ValueError unless lo
+    and hi are finite with lo < hi and n >= 2.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
+        raise ValueError(f"search window needs finite lo < hi and n >= 2, got lo={lo}, hi={hi}, n={n}")
     x, value, iters, width, boundary = _refine(
         _payoff_at(m.pair, m.reward, lambda u, rows: m.cost.cdf(u)), lambda t: deu_pos(m, t), 1, lo, hi, n
     )

@@ -164,10 +164,10 @@ def test_batched_accuracy_equals_scalar(std_pair):
     """threshold_distance mode runs the optimizer on all samples at once;
     each threshold equals accuracy_optimal on the instantiated member
     exactly, for every family kind, template kind and reward.  The sample
-    counts straddle the lookahead depth changes: one slope call settles 8
-    bisection levels for 1 row, 7 for 2, 5 for 12, 2 for 133 and 1 from 134
-    rows on, while the scalar path always runs at depth 8; every family
-    kind meets every count."""
+    counts straddle the split between one row, whose slope bisection
+    settles 8 levels per call as the scalar path does, and many rows,
+    which settle one level per call; every family kind meets every
+    count."""
     cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True)
     counts = itertools.cycle((1, 2, 12, 133, 134, 200))
     for template in TEMPLATES:

@@ -28,7 +28,7 @@ from threshold_lab import (
     normal,
     prevalence_pos,
 )
-from threshold_lab.optimize import BISECT_WIDTH, SEARCH_HI, SEARCH_LO, SEARCH_N, _lookahead_depth, _refine
+from threshold_lab.optimize import BISECT_WIDTH, SEARCH_HI, SEARCH_LO, SEARCH_N, _refine
 
 INF = float("inf")
 
@@ -146,6 +146,14 @@ def test_accuracy_restart_robustness(std_model):
     assert abs(base.threshold - offset.threshold) < 1e-6
 
 
+@pytest.mark.parametrize("window", [dict(lo=10.0, hi=-10.0), dict(n=1), dict(n=0)])
+def test_accuracy_rejects_bad_window(std_model, window):
+    """A reversed window, a one-point grid and an empty grid are refused,
+    not scanned."""
+    with pytest.raises(ValueError, match="search window"):
+        accuracy_optimal(std_model, **window)
+
+
 def test_equivalence_worked_example(std_model):
     verdict = equivalence_test(std_model, 1e-6)
     assert not verdict.equivalent
@@ -239,7 +247,7 @@ def test_interior_optimum_is_stationary(std_pair, kind, scale, x, reward):
 
 
 # ---------------------------------------------------------------------------
-# the lookahead slope bisection against the one-level-per-call loop
+# the slope bisections against the one-level-per-call loop
 
 
 def _sequential_refine(eu, deu, n_rows, lo, hi, n):
@@ -285,7 +293,7 @@ SMOOTH, DYADIC_ZERO, NAN_RIGHT, NAN_LEFT, SIGN_SLOPE, FLAT, WINS_LOW, WINS_HIGH 
 def _synthetic_rows(n_rows, lo, hi, n, seed):
     """Per-row optimum c and kind, with eu(t, rows)/deu(t) callables that
     broadcast the row parameters over t's trailing axes (deu takes (n_rows,)
-    for the reference loop and (n_rows, m) for the lookahead)."""
+    for the reference loop and (n_rows, m) for ``_refine``)."""
     rng = np.random.default_rng(seed)
     grid = np.linspace(lo, hi, n)
     step = grid[1] - grid[0]
@@ -328,17 +336,21 @@ def _synthetic_rows(n_rows, lo, hi, n, seed):
     ],
 )
 def test_lookahead_bisection_matches_sequential(n_rows, lo, hi, n):
-    """The lookahead bisection returns what the one-level-per-call loop
-    returns, bit for bit, for every row kind and at every depth."""
-    depth = _lookahead_depth(n_rows, n)
-    assert depth == {1: 8, 2: 7, 3: 7, 37: 3, 250: 1}[n_rows]
+    """``_refine`` returns what the one-level-per-call loop returns, bit
+    for bit, for every row kind: one row looks 8 levels ahead per slope
+    call (255 points), many rows take one level per call."""
+    step_shape = (n_rows, 255 if n_rows == 1 else 1)
     for seed in range(4):
         eu, deu = _synthetic_rows(n_rows, lo, hi, n, seed)
         want = _sequential_refine(eu, deu, n_rows, lo, hi, n)
-        got = _refine(lambda t: functools.partial(eu, t), deu, n_rows, lo, hi, n)
+        shapes = []
+
+        def recorded(t):
+            shapes.append(t.shape)
+            return deu(t)
+
+        got = _refine(lambda t: functools.partial(eu, t), recorded, n_rows, lo, hi, n)
         for name, w, g in zip(("x", "value", "iters", "width", "boundary"), want, got):
             assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), (name, seed)
-        if n_rows >= 37 and depth > 1 and lo == -100.0:
-            # rows leave the bisection at different levels of one round
-            iters = want[2][want[2] > 0]
-            assert len(set(iters % depth)) > 1
+        # the two bracket ends share one call, then one call per round
+        assert shapes[0] == (n_rows, 2) and set(shapes[1:]) <= {step_shape}, (shapes, seed)
