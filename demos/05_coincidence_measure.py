@@ -16,7 +16,6 @@ counterexample, whose members all differ but whose basis CDFs all equal
 from threshold_lab import (
     ParameterBox,
     SweepSpec,
-    certify,
     coincidence_fraction,
     location_family,
     logistic,
@@ -32,12 +31,10 @@ pivot = 1.0 * pair.gap(0.0)  # r * gap(0) at reward r = 1
 
 print("--- logistic location family, cost location mu in [-3, 3] ---")
 family = location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
-cert = certify(family, pivot)
-print(f"certificate: {cert.summary()}")
-
 spec = SweepSpec(family=family, pair=pair, reward=1.0, n_samples=10000,
                  tolerances=(0.1, 0.01, 0.001), seed=20250810, mode="foc_gap")
-result = coincidence_fraction(spec, cert)
+result = coincidence_fraction(spec)  # certifies the family at the sweep's own pivot
+print(f"certificate: {result.certificate.summary()}")
 report = scaling_report(result)
 for tol, frac in zip(result.tolerances, result.fractions):
     print(f"  |slope gap| < {tol:<6g}: fraction {frac:.4f}")
@@ -56,7 +53,7 @@ family2 = mixture_linear_family(
 )
 spec2 = SweepSpec(family=family2, pair=pair, reward=1.0, n_samples=10000,
                   tolerances=(0.03, 0.01, 0.003, 0.001, 0.0003), seed=20250810)
-result2 = coincidence_fraction(spec2, certify(family2, pivot))
+result2 = coincidence_fraction(spec2)
 print(f"fractions {tuple(round(f, 4) for f in result2.fractions)}; "
       f"slope {result2.scaling_slope:.3f} (a curve in a 2-d box still has measure zero)")
 
@@ -69,12 +66,10 @@ controls = (
 for title, basis in controls:
     print(f"\n--- control: {title} ---")
     control = mixture_linear_family(basis, ParameterBox((0.2,), (0.8,)))
-    ccert = certify(control, pivot)
     cresult = coincidence_fraction(
         SweepSpec(family=control, pair=pair, reward=1.0, n_samples=2000,
-                  tolerances=(0.1, 0.01, 0.001), seed=7),
-        ccert,
+                  tolerances=(0.1, 0.01, 0.001), seed=7)
     )
     creport = scaling_report(cresult)
-    print(f"responsive: {ccert.responsive_ok}; fractions {cresult.fractions} -> {creport.verdict}")
+    print(f"responsive: {cresult.certificate.responsive_ok}; fractions {cresult.fractions} -> {creport.verdict}")
 print("every sample coincides: without transversality at the pivot nothing forces the set to be thin")

@@ -30,7 +30,6 @@ from .equilibrium import (
 )
 from .errors import (
     AdmissibilityError,
-    CertificateMissingError,
     ConfigError,
     DegenerateWeightsError,
     DistributionError,
@@ -42,6 +41,7 @@ from .errors import (
 from .families import (
     CostFamily,
     FamilyCertificate,
+    FamilyMembers,
     ParameterBox,
     certify,
     location_family,
@@ -95,6 +95,7 @@ __all__ = [
     "ParameterBox",
     "CostFamily",
     "FamilyCertificate",
+    "FamilyMembers",
     "make_cost_family",
     "location_family",
     "location_scale_family",
@@ -132,7 +133,6 @@ __all__ = [
     "NoCrossingError",
     "OutOfBoxError",
     "DegenerateWeightsError",
-    "CertificateMissingError",
     "VerificationFailedError",
     "ConfigError",
 ]

@@ -245,10 +245,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _run_sweep(cfg: RunConfig, pair: SignalPair, out_dir: Path) -> dict:
-    family = _require_family(cfg)
-    cert = certify(family, cfg.reward * pair.gap(0.0))
     spec = SweepSpec(
-        family=family,
+        family=_require_family(cfg),
         pair=pair,
         reward=cfg.reward,
         n_samples=cfg.sweep.n_samples,
@@ -256,7 +254,7 @@ def _run_sweep(cfg: RunConfig, pair: SignalPair, out_dir: Path) -> dict:
         seed=cfg.sweep.seed,
         mode=cfg.sweep.mode,
     )
-    result = coincidence_fraction(spec, cert)
+    result = coincidence_fraction(spec)
     report = scaling_report(result)
     write_sweep_csv(out_dir / "samples.csv", result)
     # the summary names the CSV by its constant basename so identical

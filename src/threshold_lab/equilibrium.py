@@ -36,6 +36,11 @@ special cases such as r = 0.
 Everything here evaluates at extended-real thresholds; infinite limits are
 computed analytically (they fall out of exact cdf values at +-inf), never
 by large-argument evaluation.
+
+The cost may also be the members of a cost family at many parameter rows
+(``CostFamily.at``): each function then gives one value per row, with the
+float operations of that row's own model, so the batched optimizer and
+the sweep call these functions themselves.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ScalarDistribution
+from .families import FamilyMembers
 from .signals import SignalPair
 
 __all__ = [
@@ -65,11 +71,15 @@ class ModelConfig:
     """A complete model instance: normalized pair, cost CDF, reward.
 
     The pair is normalized by construction (see ``SignalPair``); the only
-    check made here is that the reward is finite (ValueError).
+    check made here is that the reward is finite (ValueError).  The cost
+    is one distribution, or the members of a cost family at many parameter
+    rows (``CostFamily.at``), which the model functions evaluate as one
+    cost: ``eu_pos``, ``deu_pos`` and ``foc_at_zero`` then give one value
+    per row, with the float operations of each row's own model.
     """
 
     pair: SignalPair
-    cost: ScalarDistribution
+    cost: ScalarDistribution | FamilyMembers
     reward: float
 
     def __post_init__(self):
@@ -110,17 +120,16 @@ def eu_pos(m: ModelConfig, t):
     pays everyone and the payoff is the compliance rate F(0); at t = +inf
     it pays no one and the payoff is 1 - F(0).
     """
-    arr = np.asarray(t, dtype=float)
-    out = _eu_pos(m.pair, m.reward, m.cost.cdf, arr)
-    return float(out) if arr.ndim == 0 else out
+    pivot, sf1, cdf0 = _eu_signal_terms(m.pair, m.reward, np.asarray(t, dtype=float))
+    return _float_if_0d(_eu_from_terms(m.cost.cdf(pivot), sf1, cdf0))
 
 
 def deu_pos(m: ModelConfig, t):
     """Slope of the accuracy payoff at finite t."""
-    arr = np.asarray(t, dtype=float)
-    _require_finite(arr)
-    out = _deu_pos(m.pair, m.reward, m.cost.cdf, m.cost.pdf, arr)
-    return float(out) if arr.ndim == 0 else out
+    t = np.asarray(t, dtype=float)
+    _require_finite(t)
+    gap, cdf0, cdf1, _, _ = m.pair._gap_terms(t)
+    return _float_if_0d(_deu_from_terms(m, t, gap, cdf0, cdf1, m.cost.cdf(m.reward * gap)))
 
 
 def _require_finite(t: np.ndarray) -> None:
@@ -128,16 +137,8 @@ def _require_finite(t: np.ndarray) -> None:
         raise ValueError("deu_pos is defined for finite thresholds only")
 
 
-# The payoff, its slope and the slope at 0, with the cost CDF and density
-# passed as callables of the prevalence pivot r * gap(t): ``eu_pos``,
-# ``deu_pos`` and ``foc_at_zero`` pass one cost distribution, the batched
-# optimizer and the sweep a cost family's ``cdf_at``/``pdf_at`` over a
-# parameter matrix, so both paths do the same float operations.
-
-
-def _eu_pos(pair: SignalPair, reward: float, cost_cdf, t):
-    pivot, sf1, cdf0 = _eu_signal_terms(pair, reward, t)
-    return _eu_from_terms(cost_cdf(pivot), sf1, cdf0)
+def _float_if_0d(out):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _eu_signal_terms(pair: SignalPair, reward: float, t):
@@ -152,15 +153,10 @@ def _eu_from_terms(pi, sf1, cdf0):
     return pi * sf1 + (1.0 - pi) * cdf0
 
 
-def _deu_pos(pair: SignalPair, reward: float, cost_cdf, cost_pdf, t):
-    gap, cdf0, cdf1, _, _ = pair._gap_terms(t)
-    return _deu_from_terms(pair, reward, cost_pdf, t, gap, cdf0, cdf1, cost_cdf(reward * gap))
-
-
-def _deu_from_terms(pair: SignalPair, reward: float, cost_pdf, t, gap, cdf0, cdf1, pi):
+def _deu_from_terms(m: ModelConfig, t, gap, cdf0, cdf1, pi):
     """The slope from the signal terms at t and the prevalence pi = F(r * gap)."""
-    p0, p1 = pair.g0.pdf(t), pair.g1.pdf(t)
-    dpi = cost_pdf(reward * gap) * reward * (p0 - p1)
+    p0, p1 = m.pair.g0.pdf(t), m.pair.g1.pdf(t)
+    dpi = m.cost.pdf(m.reward * gap) * m.reward * (p0 - p1)
     return dpi * (1.0 - cdf0 - cdf1) - pi * (p0 + p1) + p0
 
 
@@ -175,19 +171,16 @@ def _table_columns(m: ModelConfig, t: np.ndarray):
         pi,
         m.cost.cdf(-m.reward * gap),
         _eu_from_terms(pi, sf1, cdf0),
-        _deu_from_terms(m.pair, m.reward, m.cost.pdf, t, gap, cdf0, cdf1, pi),
+        _deu_from_terms(m, t, gap, cdf0, cdf1, pi),
     )
 
 
-def _foc_at_zero(pair: SignalPair, reward: float, cost_cdf):
-    return (1.0 - 2.0 * cost_cdf(reward * pair.gap(0.0))) * pair.g0.pdf(0.0)
-
-
-def foc_at_zero(m: ModelConfig) -> float:
+def foc_at_zero(m: ModelConfig):
     """Closed form of the payoff slope at the compliance-optimal threshold.
 
     Equals deu_pos(m, 0) because the signal densities agree at 0; its sign
     says whether accuracy gains by moving the threshold off 0, and its
-    zero is the coincidence condition F(r * gap(0)) = 1/2.
+    zero is the coincidence condition F(r * gap(0)) = 1/2.  A float for
+    one cost distribution, one value per row for a family's members.
     """
-    return _foc_at_zero(m.pair, m.reward, m.cost.cdf)
+    return _float_if_0d((1.0 - 2.0 * m.cost.cdf(m.reward * m.pair.gap(0.0))) * m.pair.g0.pdf(0.0))

@@ -1,12 +1,13 @@
 """Semantic exception hierarchy for threshold_lab.
 
 Domain failures (bad configs and distributions, inadmissible pairs,
-out-of-box parameters, a missing certificate, numeric guardrails) derive
-from ThresholdLabError, so callers (and the CLI exit-code mapping) can
-tell validation problems from numeric guardrail failures.  Argument
-checks of library calls raise a bare ValueError instead:
-``compliance_optimal`` (reward <= 0), ``SweepSpec``, ``ModelConfig``,
-``equivalence_verdict`` and ``scaling_report``.
+out-of-box parameters, numeric guardrails) derive from ThresholdLabError,
+so callers (and the CLI exit-code mapping) can tell validation problems
+from numeric guardrail failures.  Argument checks of library calls raise
+a bare ValueError instead: ``compliance_optimal`` (reward <= 0),
+``accuracy_optimal`` (search window), ``SweepSpec`` (reward <= 0 among
+others), ``ModelConfig``, ``equivalence_verdict``, ``fit_loglog_slope``
+and ``scaling_report``.
 The CLI checks the config values that reach those calls first, so a bad
 config value exits 1 with its field path instead of one of these errors.
 """
@@ -34,10 +35,6 @@ class OutOfBoxError(ThresholdLabError, ValueError):
 
 class DegenerateWeightsError(DistributionError):
     """A mixture weight implied by the parameter vector is not positive."""
-
-
-class CertificateMissingError(ThresholdLabError):
-    """A sweep was requested without a family certificate."""
 
 
 class VerificationFailedError(ThresholdLabError):

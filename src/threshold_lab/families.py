@@ -19,8 +19,11 @@ affine in x (bilinear for location_scale), so it is monotone in each
 coordinate, and so is its rounding: valid members at the box corners make
 every member in the box valid.  A mixture weight is smallest at the lower
 or the upper corner, so mixture_linear checks only those two, never all
-2^k.  ``instantiate`` and the array evaluators ``cdf_at`` / ``pdf_at``
-then only check that their rows lie in the box.
+2^k.  ``instantiate(x)`` and ``at(xs)`` then only check that their rows
+lie in the box.  ``at(xs)`` checks them once and returns the members as
+one cost, ``FamilyMembers``, whose ``cdf`` and ``pdf`` evaluate every row
+in one array pass; a ``ModelConfig`` takes it in place of one cost
+distribution, so the batched sweep kernels run the model's own functions.
 
 ``certify`` reports the three structural requirements a family must meet
 before a coincidence sweep is meaningful.  Smoothness and
@@ -51,6 +54,7 @@ from .errors import DegenerateWeightsError, DistributionError, OutOfBoxError
 __all__ = [
     "ParameterBox",
     "CostFamily",
+    "FamilyMembers",
     "FamilyCertificate",
     "make_cost_family",
     "location_family",
@@ -116,10 +120,10 @@ class CostFamily:
     module docstring), so every member in the box can then be built.
 
     ``instantiate(x)`` builds the member distribution at one parameter
-    vector; ``cdf_at(t, xs)`` and ``pdf_at(t, xs)`` evaluate F(t | x) and
-    f(t | x) for every row of an (n, k) parameter matrix in one array
-    pass, bit-identical to ``instantiate(x).cdf(t)`` / ``.pdf(t)`` row by
-    row.  All three raise OutOfBoxError for a row outside the box.
+    vector; ``at(xs)`` gives the members at every row of an (n, k)
+    parameter matrix as one cost, ``FamilyMembers``, whose evaluations are
+    bit-identical to ``instantiate`` row by row.  Both raise OutOfBoxError
+    for a row outside the box.
     """
 
     kind: str
@@ -187,32 +191,11 @@ class CostFamily:
             return ScalarDistribution("mixture", (), tuple((float(w), d) for w, d in zip(member, self.basis)))
         return self.template.affine(*(float(v) for v in member))
 
-    def cdf_at(self, t, xs) -> np.ndarray:
-        """F(t | x) for every row x of an (n, k) parameter matrix.
-
-        ``t`` is a scalar, or an array whose first axis runs over the rows
-        (length n, or 1 to share the trailing points among all rows); the
-        result has shape (n,) or (n,) + t.shape[1:].  Performs the same
-        float operations as ``instantiate(x).cdf(t)``, so every element is
-        bit-identical to the scalar path.
-        """
-        return self._eval_at("cdf", t, xs)
-
-    def pdf_at(self, t, xs) -> np.ndarray:
-        """Density f(t | x) for every row x; the ``cdf_at`` counterpart,
-        bit-identical to ``instantiate(x).pdf(t)`` and floored at
-        PDF_FLOOR the same way."""
-        return self._eval_at("pdf", t, xs)
-
-    def _eval_at(self, what: str, t, xs) -> np.ndarray:
-        # ``what`` as in ScalarDistribution.evaluate; one member per row,
-        # its parameter columns broadcast over t's trailing axes
-        t = np.asarray(t, dtype=float)
-        members = self._members(xs)
-        cols = members.T.reshape(members.shape[::-1] + (1,) * max(t.ndim - 1, 0))
-        if self.kind == "mixture_linear":
-            return _evaluate_mixture(what, zip(cols, self.basis), t)
-        return self.template.evaluate(what, t, *cols)
+    def at(self, xs) -> "FamilyMembers":
+        """The members at every row x of an (n, k) parameter matrix, as one
+        cost (see ``FamilyMembers``).  Raises OutOfBoxError for a wrong
+        column count or a row outside the box."""
+        return FamilyMembers(self, self._members(xs))
 
     def _members(self, xs) -> np.ndarray:
         """The map from an (n, k) parameter matrix to member parameters:
@@ -230,6 +213,47 @@ class CostFamily:
             x = xs[np.argmin(inside)]
             raise OutOfBoxError(f"x = {x.tolist()} outside box [{self.box.lower}, {self.box.upper}]")
         return self.weights(xs) if self.kind == "mixture_linear" else xs
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyMembers:
+    """Members of a cost family at n parameter rows, evaluated as one cost.
+
+    Built by ``CostFamily.at``, which checks the rows against the box
+    once.  ``cdf(t)`` and ``pdf(t)`` evaluate F(t | x) and f(t | x) of
+    every row in one array pass: ``t`` is a scalar, or an array whose first
+    axis runs over the rows (length n, or 1 to share the trailing points
+    among all rows), and the result has shape (n,) or (n,) + t.shape[1:].
+    They perform the same float operations as ``instantiate(x).cdf(t)``
+    and ``.pdf(t)`` (the density floored at PDF_FLOOR the same way), so
+    every element is bit-identical to the scalar path.  ``members[rows]``
+    keeps the rows that a slice or an index array selects.
+    """
+
+    family: CostFamily
+    #: member parameters per row, as ``CostFamily._members`` gives them
+    params: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, rows) -> "FamilyMembers":
+        return FamilyMembers(self.family, self.params[rows])
+
+    def cdf(self, t) -> np.ndarray:
+        return self._evaluate("cdf", t)
+
+    def pdf(self, t) -> np.ndarray:
+        return self._evaluate("pdf", t)
+
+    def _evaluate(self, what: str, t) -> np.ndarray:
+        # ``what`` as in ScalarDistribution.evaluate; one member per row,
+        # its parameter columns broadcast over t's trailing axes
+        t = np.asarray(t, dtype=float)
+        cols = self.params.T.reshape(self.params.shape[::-1] + (1,) * max(t.ndim - 1, 0))
+        if self.family.kind == "mixture_linear":
+            return _evaluate_mixture(what, zip(cols, self.family.basis), t)
+        return self.family.template.evaluate(what, t, *cols)
 
 
 def _leaf_params(d: ScalarDistribution):

@@ -9,7 +9,8 @@ nonzero for almost every x in the box.  F(p | x) is C-infinity in x for
 every family kind (the catalog and the kinds are smooth by construction,
 see the ``families`` module docstring), so transversality is the one
 hypothesis left to check.  The ``certify`` responsiveness
-flag is that transversality at the sweep's pivot, in closed form; a
+flag is that transversality at the sweep's pivot, in closed form, and
+every sweep certifies its own family at its own pivot; a
 mixture_linear family whose basis CDFs all agree at p fails it, and if
 they all equal 1/2 there it lies wholly on the coincidence set (README,
 "Model in one screen").  The sweep estimates the set's Lebesgue measure
@@ -28,10 +29,12 @@ Two metrics are available:
   slope bisection over all samples).
 
 Reproducibility: all draws derive from the spec seed.  Both metrics are
-batched over the whole sample matrix through ``CostFamily.cdf_at`` (and
-``pdf_at``), which perform the same float operations as the per-sample
-scalar paths ``foc_at_zero`` and ``accuracy_optimal`` and so are
-bit-identical to them.
+batched over the whole sample matrix: the sweep builds one model whose
+cost is the family's members at every sample (``CostFamily.at``) and
+evaluates it with ``foc_at_zero`` and ``accuracy_thresholds``, which
+perform the same float operations as the per-sample scalar paths
+``foc_at_zero`` and ``accuracy_optimal`` and so are bit-identical to
+them.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _foc_at_zero
-from .errors import CertificateMissingError
-from .families import CostFamily, FamilyCertificate
+from .equilibrium import ModelConfig, foc_at_zero
+from .families import CostFamily, FamilyCertificate, certify
 from .optimize import accuracy_optimal  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
 from .optimize import accuracy_thresholds
 from .signals import SignalPair
@@ -99,9 +101,10 @@ class SweepSpec:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the batched kernels build no ModelConfig, so its guards live here
-        if not math.isfinite(self.reward) or self.reward == 0.0:
-            raise ValueError(f"sweep requires a finite nonzero reward, got {self.reward}")
+        # at r < 0 the kernel's F(r * gap(0)) = 1/2 is not the coincidence
+        # condition (the rules' roles flip), and at r = 0 nothing moves
+        if not 0.0 < self.reward < math.inf:
+            raise ValueError(f"sweep requires a finite reward > 0, got {self.reward}")
         tols = tuple(float(t) for t in self.tolerances)
         if not tols or not all(math.isfinite(t) and t > 0.0 for t in tols):
             raise ValueError(f"tolerances must be finite and positive, got {tols}")
@@ -151,9 +154,13 @@ def fit_loglog_slope(tolerances, fractions):
 
     Only strictly positive fractions enter the fit (a zero count carries
     no scale information).  Returns ``(slope, degenerate)``; the fit is
-    degenerate (slope nan) with fewer than two usable points.
+    degenerate (slope nan) with fewer than two usable points.  Raises
+    ValueError when the two sequences differ in length.
     """
-    slope = float(_fit_slopes(tolerances, np.asarray(fractions, dtype=float)[None, :])[0])
+    fractions = np.asarray(fractions, dtype=float)
+    if len(tolerances) != len(fractions):
+        raise ValueError(f"{len(tolerances)} tolerances but {len(fractions)} fractions")
+    slope = float(_fit_slopes(tolerances, fractions[None, :])[0])
     return slope, math.isnan(slope)
 
 
@@ -202,25 +209,23 @@ def coincidence_levels(metrics: np.ndarray, tolerances) -> np.ndarray:
     return levels
 
 
-def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> SweepResult:
+def coincidence_fraction(spec: SweepSpec) -> SweepResult:
     """Run the sweep and estimate the measure of the coincidence set.
 
-    The certificate is required evidence that the structural checks were
-    run; the sweep itself proceeds whatever the flags say (running a
-    family that is not transversal at the pivot is exactly how the control
-    experiment shows the transversality hypothesis is load-bearing) and
-    the flags travel with the result.
+    One batched model holds every sampled member (``CostFamily.at``), and
+    ``foc_at_zero`` (and in threshold_distance mode ``accuracy_thresholds``)
+    evaluates it.  The result carries the family's certificate at the
+    pivot r * gap(0) the kernel evaluates; the sweep itself proceeds
+    whatever its flags say (running a family that is not transversal at
+    the pivot is exactly how the control experiment shows the
+    transversality hypothesis is load-bearing).
     """
-    if certificate is None:
-        raise CertificateMissingError(
-            "coincidence_fraction needs the family's certificate; run certify(family) first"
-        )
     samples = sample_parameters(spec)
     n = spec.n_samples
-    pair = spec.pair
-    focs = _foc_at_zero(pair, spec.reward, lambda p: spec.family.cdf_at(p, samples))
+    model = ModelConfig(spec.pair, spec.family.at(samples), spec.reward)
+    focs = foc_at_zero(model)
     if spec.mode == "threshold_distance":
-        accs = accuracy_thresholds(spec.family, samples, pair, spec.reward)
+        accs = accuracy_thresholds(model)
     else:
         accs = np.full(n, math.nan)
 
@@ -242,7 +247,7 @@ def coincidence_fraction(spec: SweepSpec, certificate: FamilyCertificate) -> Swe
         foc_gaps=focs,
         accuracy_thresholds=accs,
         metrics=metrics,
-        certificate=certificate,
+        certificate=certify(spec.family, spec.reward * spec.pair.gap(0.0)),
     )
 
 

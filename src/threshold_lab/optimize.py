@@ -18,8 +18,9 @@ the argmax, while the slope crosses zero transversally and pins it to
 cells there is no interior maximum to pin, and the grid point stands.
 
 The refiner runs over rows in lockstep: ``accuracy_optimal`` feeds it one
-model, ``accuracy_thresholds`` every member of a cost family at once
-through ``CostFamily.cdf_at``/``pdf_at``, with bit-identical results.
+model, ``accuracy_thresholds`` a model whose cost is a cost family's
+members (``CostFamily.at``), every member at once, with bit-identical
+results.
 The grid scan splits the payoff into its signal terms (the pivot
 r * gap(t), sf1(t) and cdf0(t), the same for every row) and its cost term
 F(pivot | row): the signal terms are evaluated on the grid once per call,
@@ -47,9 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import ModelConfig, _deu_pos, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
+from .equilibrium import ModelConfig, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
 from .errors import VerificationFailedError
-from .families import CostFamily
 from .signals import BISECT_WIDTH, SignalPair, _bisect
 
 __all__ = [
@@ -188,7 +188,9 @@ def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     # bisect only a bracket that holds a maximum: the slope falls through 0
     ends = deu(np.column_stack([a, b]))
     bisect = (ends[:, 0] > 0.0) & (ends[:, 1] < 0.0)
-    if n_rows > 1:
+    # one row walks its bracket in Python floats, any other count (none
+    # included) in lockstep arrays
+    if n_rows != 1:
         a, b, iters = _bisect_rows(deu, a, b, bisect)
         x = np.where(bisect, 0.5 * (a + b), x)
         width = np.where(bisect, b - a, width)
@@ -241,23 +243,17 @@ def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_H
     )
 
 
-def accuracy_thresholds(family: CostFamily, samples, pair: SignalPair, reward: float) -> np.ndarray:
-    """Accuracy-optimal threshold of every family member, shape (n_samples,).
+def accuracy_thresholds(m: ModelConfig) -> np.ndarray:
+    """Accuracy-optimal threshold of every row of a batched model, whose
+    cost is ``family.at(xs)``, a cost family's members; shape (n_rows,).
 
-    Element i is bit-identical to ``accuracy_optimal(ModelConfig(pair,
-    family.instantiate(samples[i]), reward)).threshold``: the
-    same refiner runs on all rows at once, with the cost evaluated by
-    ``family.cdf_at``/``pdf_at``, which keep ``instantiate``'s box check.
+    Element i is bit-identical to ``accuracy_optimal(ModelConfig(m.pair,
+    family.instantiate(xs[i]), m.reward)).threshold``: the same refiner
+    runs on all rows at once, on the same model functions.  Zero rows
+    give an empty array.
     """
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-    xs = np.asarray(samples, dtype=float)
-
-    def deu(t):
-        return _deu_pos(pair, reward, lambda u: family.cdf_at(u, xs), lambda u: family.pdf_at(u, xs), t)
-
-    eu_at = _payoff_at(pair, reward, lambda u, rows: family.cdf_at(u, xs[rows]))
-    return _refine(eu_at, deu, len(xs), SEARCH_LO, SEARCH_HI, SEARCH_N)[0]
+    eu_at = _payoff_at(m.pair, m.reward, lambda u, rows: m.cost[rows].cdf(u))
+    return _refine(eu_at, lambda t: deu_pos(m, t), len(m.cost), SEARCH_LO, SEARCH_HI, SEARCH_N)[0]
 
 
 def equivalence_verdict(

@@ -272,7 +272,7 @@ def _k1_sweep(std_pair):
     family = location_family(logistic(0.0, 1.0), ParameterBox((-3.0,), (3.0,)))
     spec = SweepSpec(family=family, pair=std_pair, reward=1.0, n_samples=10000,
                      tolerances=K1_TOLERANCES, seed=K1_SEED, mode="foc_gap")
-    return coincidence_fraction(spec, certify(family, std_pair.gap(0.0)))
+    return coincidence_fraction(spec)
 
 
 def test_criterion_6_measure_zero_scaling(std_pair):
@@ -295,7 +295,7 @@ def test_criterion_6_measure_zero_scaling(std_pair):
     )
     spec2 = SweepSpec(family=family2, pair=std_pair, reward=1.0, n_samples=10000,
                       tolerances=(0.03, 0.01, 0.003, 0.001, 0.0003), seed=K1_SEED, mode="foc_gap")
-    res2 = coincidence_fraction(spec2, certify(family2, std_pair.gap(0.0)))
+    res2 = coincidence_fraction(spec2)
     report2 = scaling_report(res2)
     assert 0.8 <= res2.scaling_slope <= 1.2
     assert report2.verdict == VERDICT_CONSISTENT
@@ -335,7 +335,7 @@ def test_criterion_7_negative_control(std_pair):
 
     spec = SweepSpec(family=family, pair=std_pair, reward=1.0, n_samples=2000,
                      tolerances=K1_TOLERANCES, seed=7, mode="foc_gap")
-    res = coincidence_fraction(spec, cert)
+    res = coincidence_fraction(spec)
     report = scaling_report(res)
     assert res.fractions == (1.0, 1.0, 1.0)
     assert report.verdict == VERDICT_INCONSISTENT

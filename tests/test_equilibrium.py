@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import DELTA0, EU0, FOC0, PI0, logistic_cdf, suite_cost_specs, suite_pair_specs
 from threshold_lab import (
     ModelConfig,
+    ParameterBox,
     deu_pos,
     eu_pos,
     foc_at_zero,
     logistic,
+    mixture_linear_family,
     normal,
     normalize_pair,
     prevalence_neg,
@@ -154,3 +156,23 @@ def test_vectorized_matches_scalar(std_model):
     vec = prevalence_pos(std_model, ts)
     for i, t in enumerate(ts):
         assert vec[i] == prevalence_pos(std_model, float(t))
+
+
+def test_family_members_model_matches_each_row(std_pair):
+    """A model whose cost is a family's members gives each row the value
+    of that row's own model, bit for bit, at per-row and shared points;
+    the infinite thresholds are reached only by the payoff."""
+    fam = mixture_linear_family(
+        (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)), ParameterBox((0.1, 0.1), (0.45, 0.45))
+    )
+    xs = fam.box.sample(np.random.default_rng(2), 7)
+    batched = ModelConfig(std_pair, fam.at(xs), 2.0)
+    rows = [ModelConfig(std_pair, fam.instantiate(x), 2.0) for x in xs]
+    per_row = np.linspace(-3.0, 3.0, 7)[:, None]
+    shared = np.array([[-INF, -1.0, 0.0, 0.5, INF]])
+    for f, ts in ((eu_pos, per_row), (eu_pos, shared), (deu_pos, per_row), (deu_pos, shared[:, 1:-1])):
+        got = f(batched, ts)
+        for i, m in enumerate(rows):
+            assert got[i].tolist() == f(m, ts[i if len(ts) > 1 else 0]).tolist(), f.__name__
+    assert foc_at_zero(batched).tolist() == [foc_at_zero(m) for m in rows]
+    assert all(type(foc_at_zero(m)) is float for m in rows)

@@ -118,14 +118,15 @@ def test_construction_refuses_unbuildable_members():
 
 
 def _assert_batched_guards(method):
-    """cdf_at / pdf_at keep instantiate's box checks as array checks."""
+    """Members at an array of rows keep instantiate's box checks as array
+    checks."""
     fam = location_family(logistic(0, 1), BOX1)
     with pytest.raises(OutOfBoxError):
-        getattr(fam, method)(0.0, [[0.0], [99.0]])
+        getattr(fam.at([[0.0], [99.0]]), method)(0.0)
     with pytest.raises(OutOfBoxError):
-        getattr(fam, method)(0.0, np.zeros((3, 2)))  # (n, k + 1)
+        getattr(fam.at(np.zeros((3, 2))), method)(0.0)  # (n, k + 1)
     with pytest.raises(OutOfBoxError):
-        getattr(fam, method)(0.0, np.zeros(3))  # not a matrix
+        getattr(fam.at(np.zeros(3)), method)(0.0)  # not a matrix
 
 
 def test_cdf_at_guards():
@@ -216,11 +217,11 @@ def test_gate_is_the_corner_members(data):
 
 
 def test_pdf_at_keeps_floor():
-    """Deep in a tail the density underflows; pdf_at floors it at
-    PDF_FLOOR exactly as instantiate(x).pdf does."""
+    """Deep in a tail the density underflows; the members' pdf floors it
+    at PDF_FLOOR exactly as instantiate(x).pdf does."""
     fam = mixture_linear_family((normal(-1, 0.5), gumbel(1, 0.5)), ParameterBox((0.2,), (0.8,)))
     xs = np.array([[0.2], [0.5], [0.8]])
-    got = fam.pdf_at(-60.0, xs)
+    got = fam.at(xs).pdf(-60.0)
     assert np.all(got == PDF_FLOOR)
     assert [fam.instantiate(x).pdf(-60.0) for x in xs] == got.tolist()
 
@@ -237,9 +238,9 @@ CDF_AT_FAMILIES = {
 
 
 def _assert_matches_instantiate(fam, method, data):
-    """``<method>_at``, or the pdf' dispatch, over a parameter matrix
-    equals the scalar path bit for bit, with t a scalar, one point per
-    row, or points shared by every row (a (1, m) array)."""
+    """``<method>`` of the members at a parameter matrix, or their pdf'
+    dispatch, equals the scalar path bit for bit, with t a scalar, one
+    point per row, or points shared by every row (a (1, m) array)."""
     row = st.tuples(*(st.floats(lo, hi) for lo, hi in zip(fam.box.lower, fam.box.upper)))
     xs = np.array(data.draw(st.lists(row, min_size=1, max_size=20)))
     n = len(xs)
@@ -254,8 +255,9 @@ def _assert_matches_instantiate(fam, method, data):
     else:
         t = np.array([data.draw(st.lists(point, min_size=1, max_size=5))])
         ts = np.repeat(t, n, axis=0)
-    # pdf' has no public batched method; cdf_at and pdf_at share its dispatch
-    got = fam._eval_at(method, t, xs) if method == "pdf_prime" else getattr(fam, f"{method}_at")(t, xs)
+    # pdf' has no public batched method; cdf and pdf share its dispatch
+    members = fam.at(xs)
+    got = members._evaluate(method, t) if method == "pdf_prime" else getattr(members, method)(t)
     assert got.shape == (ts.shape if shape == "shared" else (n,))
     got = got.reshape(n, -1)
     for i, x in enumerate(xs):
@@ -281,6 +283,25 @@ def test_pdf_at_matches_instantiate(kind, data):
 @given(data=st.data())
 def test_pdf_prime_at_matches_instantiate(kind, data):
     _assert_matches_instantiate(CDF_AT_FAMILIES[kind], "pdf_prime", data)
+
+
+@pytest.mark.parametrize("kind", sorted(CDF_AT_FAMILIES))
+def test_member_rows_evaluate_like_the_whole(kind):
+    """``members[rows]`` evaluates bit for bit like the same rows of the
+    whole, for slices and index arrays, with t shared by every row or one
+    point per row."""
+    fam = CDF_AT_FAMILIES[kind]
+    members = fam.at(fam.box.sample(np.random.default_rng(4), 50))
+    shared = np.linspace(-8.0, 8.0, 9)[None, :]
+    per_row = np.linspace(-8.0, 8.0, 50)[:, None]
+    for rows in (slice(0, 32), slice(32, 50), slice(None), np.array([3, 3, 49, 0])):
+        for method in ("cdf", "pdf"):
+            whole = getattr(members, method)
+            part = getattr(members[rows], method)
+            assert part(shared).tolist() == whole(shared)[rows].tolist()
+            assert part(per_row[rows]).tolist() == whole(per_row)[rows].tolist()
+            assert part(0.5).tolist() == whole(0.5)[rows].tolist()
+    assert len(members[slice(32, 50)]) == 18
 
 
 def test_box_dimension_must_match_kind():
@@ -354,7 +375,7 @@ def test_linearity_blend_property_mixture(data):
     mid = fam.box.clip(alpha * x + (1.0 - alpha) * y)
     zs = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8)))
     ts = np.concatenate([loc + scale * zs for d in basis for loc, scale in _leaf_params(d)])
-    at_x, at_y, at_mid = fam.pdf_at(ts[None, :], np.array([x, y, mid]))
+    at_x, at_y, at_mid = fam.at(np.array([x, y, mid])).pdf(ts[None, :])
     blend = alpha * at_x + (1.0 - alpha) * at_y
     biggest = max(at_x.max(), at_y.max(), at_mid.max())
     assert np.max(np.abs(at_mid - blend)) <= 1e-12 * (1.0 + biggest)
@@ -428,7 +449,7 @@ def test_linearity_counterexample_magnitude():
         (location_scale_family(normal(0, 1), ParameterBox((-1.0, 0.5), (1.0, 2.0))), [[0.0, 0.5], [0.0, 2.0]]),
     ):
         x, y = np.array(ends)
-        at_x, at_y, at_mid = fam.pdf_at(ts, np.array([x, y, 0.5 * (x + y)]))
+        at_x, at_y, at_mid = fam.at(np.array([x, y, 0.5 * (x + y)])).pdf(ts)
         err = np.max(np.abs(at_mid - 0.5 * (at_x + at_y)))
         assert err > 1e-3  # an O(1) failure, not a tolerance artifact
 

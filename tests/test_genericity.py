@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DELTA0, PHI1_PDF, logistic_cdf, suite_cost_specs
 from threshold_lab import (
-    CertificateMissingError,
+    CostFamily,
     FamilyCertificate,
     ModelConfig,
     ParameterBox,
@@ -50,8 +50,7 @@ def interval_fraction(tau, lo=-3.0, hi=3.0):
 
 @pytest.fixture(scope="module")
 def logistic_location():
-    fam = location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
-    return fam, certify(fam, DELTA0)
+    return location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
 
 
 def make_spec(fam, pair, **over):
@@ -62,7 +61,7 @@ def make_spec(fam, pair, **over):
 
 
 def test_spec_validation(std_pair, logistic_location):
-    fam, _ = logistic_location
+    fam = logistic_location
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, tolerances=(0.001, 0.01, 0.1))
     with pytest.raises(ValueError):
@@ -74,8 +73,9 @@ def test_spec_validation(std_pair, logistic_location):
             make_spec(fam, std_pair, tolerances=(0.1, bad))
         with pytest.raises(ValueError, match="finite"):
             make_spec(fam, std_pair, tolerances=(bad,))
-    with pytest.raises(ValueError):
-        make_spec(fam, std_pair, reward=0.0)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sweep requires a finite reward > 0"):
+            make_spec(fam, std_pair, reward=bad)
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, reward=math.inf)
     with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ def test_spec_validation(std_pair, logistic_location):
 
 
 def test_sampling_deterministic_and_in_box(std_pair, logistic_location):
-    fam, _ = logistic_location
+    fam = logistic_location
     spec = make_spec(fam, std_pair, n_samples=1000, seed=7)
     a = sample_parameters(spec)
     b = sample_parameters(spec)
@@ -98,16 +98,49 @@ def test_sampling_deterministic_and_in_box(std_pair, logistic_location):
     assert not np.array_equal(a, c)
 
 
-def test_certificate_required(std_pair, logistic_location):
-    fam, _ = logistic_location
-    with pytest.raises(CertificateMissingError):
-        coincidence_fraction(make_spec(fam, std_pair), None)
+@pytest.mark.parametrize("reward", [0.5, 1.0, 2.0])
+def test_sweep_certifies_its_family_at_its_pivot(std_pair, reward):
+    """The result's certificate is its own family's at the pivot
+    r * gap(0) its kernel evaluates: a location family is not linear, and
+    README's counterexample (both basis CDFs 1/2 at that pivot) is not
+    responsive and lies wholly on the coincidence set."""
+    pivot = reward * std_pair.gap(0.0)
+    for fam in families_of(logistic(0, 1)):
+        res = coincidence_fraction(make_spec(fam, std_pair, reward=reward, n_samples=50, seed=1))
+        assert res.certificate == certify(fam, pivot), fam.kind
+        assert res.certificate.linear_ok == (fam.kind == "mixture_linear")
+    readme = mixture_linear_family((normal(pivot, 1), logistic(pivot, 0.4)), ParameterBox((0.2,), (0.8,)))
+    res = coincidence_fraction(make_spec(readme, std_pair, reward=reward, n_samples=200, seed=1))
+    assert res.certificate == certify(readme, pivot)
+    assert res.certificate.responsive_ok is False
+    assert res.fractions == (1.0, 1.0, 1.0)
+
+
+def test_threshold_distance_checks_the_box_once(std_pair, logistic_location, monkeypatch):
+    """A sweep checks its samples against the box once, not once per
+    evaluation of the cost."""
+    calls = []
+    members = CostFamily._members
+
+    def counted(fam, xs):
+        calls.append(np.shape(xs))
+        return members(fam, xs)
+
+    monkeypatch.setattr(CostFamily, "_members", counted)
+    coincidence_fraction(make_spec(logistic_location, std_pair, n_samples=2000, mode="threshold_distance"))
+    assert calls == [(2000, 1)]
+
+
+def test_fit_loglog_slope_rejects_mismatched_lengths():
+    """zip would drop the unmatched rung and fit the rest."""
+    with pytest.raises(ValueError, match="3 tolerances but 2 fractions"):
+        fit_loglog_slope((0.1, 0.01, 0.001), (0.5, 0.05))
 
 
 def test_fractions_match_analytic_measure(std_pair, logistic_location):
-    fam, cert = logistic_location
+    fam = logistic_location
     spec = make_spec(fam, std_pair, n_samples=4000, seed=20250810)
-    res = coincidence_fraction(spec, cert)
+    res = coincidence_fraction(spec)
     for tol, frac in zip(res.tolerances, res.fractions):
         expected = interval_fraction(tol)
         assert frac == pytest.approx(expected, rel=0.5), (tol, frac, expected)
@@ -117,17 +150,17 @@ def test_fractions_match_analytic_measure(std_pair, logistic_location):
 
 
 def test_fraction_per_tau_roughly_constant(std_pair, logistic_location):
-    fam, cert = logistic_location
-    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=10000, seed=3), cert)
+    fam = logistic_location
+    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=10000, seed=3))
     ratios = [f / t for f, t in zip(res.fractions, res.tolerances) if f > 0]
     assert max(ratios) / min(ratios) < 2.0
 
 
 def test_reproducibility_bit_identical(std_pair, logistic_location):
-    fam, cert = logistic_location
+    fam = logistic_location
     spec = make_spec(fam, std_pair, seed=99)
-    a = coincidence_fraction(spec, cert)
-    b = coincidence_fraction(spec, cert)
+    a = coincidence_fraction(spec)
+    b = coincidence_fraction(spec)
     assert a.fractions == b.fractions
     assert np.array_equal(a.metrics, b.metrics)
     assert np.array_equal(a.samples, b.samples)
@@ -152,10 +185,9 @@ def test_batched_equals_scalar(std_pair, suite_pairs):
     member exactly, for every family kind, template kind and reward."""
     pairs = [std_pair] + [next(p for name, p in suite_pairs if name.startswith(kind))
                           for kind in ("gumbel", "mixture")]
-    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True)
     for template in TEMPLATES:
         for fam, pair, r in itertools.product(families_of(template), pairs, (0.5, 1.0, 2.0)):
-            res = coincidence_fraction(make_spec(fam, pair, reward=r, n_samples=100, seed=5), cert)
+            res = coincidence_fraction(make_spec(fam, pair, reward=r, n_samples=100, seed=5))
             scalar = [foc_at_zero(ModelConfig(pair, fam.instantiate(x), r)) for x in res.samples]
             assert np.array_equal(res.foc_gaps, scalar), (fam.kind, template.kind, r)
 
@@ -168,17 +200,16 @@ def test_batched_accuracy_equals_scalar(std_pair):
     settles 8 levels per call as the scalar path does, and many rows,
     which settle one level per call; every family kind meets every
     count."""
-    cert = FamilyCertificate(smooth_ok=True, linear_ok=True, responsive_ok=True)
     counts = itertools.cycle((1, 2, 12, 133, 134, 200))
     for template in TEMPLATES:
         for (fam, r), n in zip(itertools.product(families_of(template), (0.5, 1.0, 2.0)), counts):
             spec = make_spec(fam, std_pair, reward=r, n_samples=n, seed=5, mode="threshold_distance")
-            res = coincidence_fraction(spec, cert)
+            res = coincidence_fraction(spec)
             scalar = [accuracy_optimal(ModelConfig(std_pair, fam.instantiate(x), r)).threshold for x in res.samples]
             assert np.array_equal(res.accuracy_thresholds, scalar), (fam.kind, template.kind, r, n)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="reward must be finite"):
-            accuracy_thresholds(fam, res.samples, std_pair, bad)
+            accuracy_thresholds(ModelConfig(std_pair, fam.at(res.samples), bad))
 
 
 def test_mode_consistency(std_pair, logistic_location):
@@ -188,15 +219,12 @@ def test_mode_consistency(std_pair, logistic_location):
     parameter while the slope gap moves ~0.12 times as fast, so at equal
     tolerances the threshold-distance flag implies the slope-gap flag.
     """
-    fam, cert = logistic_location
+    fam = logistic_location
     tau = 0.05
     td = coincidence_fraction(
-        make_spec(fam, std_pair, n_samples=10000, seed=21, mode="threshold_distance", tolerances=(tau,)),
-        cert,
+        make_spec(fam, std_pair, n_samples=10000, seed=21, mode="threshold_distance", tolerances=(tau,))
     )
-    fg = coincidence_fraction(
-        make_spec(fam, std_pair, n_samples=10000, seed=21, tolerances=(tau,)), cert
-    )
+    fg = coincidence_fraction(make_spec(fam, std_pair, n_samples=10000, seed=21, tolerances=(tau,)))
     flagged_td = td.metrics < tau
     flagged_fg = fg.metrics < tau
     assert np.all(flagged_fg[flagged_td])
@@ -211,7 +239,7 @@ def test_negative_control_fraction_one(std_pair):
     fam = mixture_linear_family((pinned, pinned), ParameterBox((0.2,), (0.8,)))
     cert = certify(fam, std_pair.gap(0.0))
     assert not cert.responsive_ok
-    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=500, seed=13), cert)
+    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=500, seed=13))
     assert res.fractions == (1.0, 1.0, 1.0)
     report = scaling_report(res)
     assert report.verdict == VERDICT_INCONSISTENT
@@ -256,7 +284,7 @@ def test_responsive_iff_foc_gap_moves(std_pair, data):
     cert = certify(fam, pivot)
     spec = make_spec(fam, std_pair, reward=reward, n_samples=64, tolerances=(0.1,),
                      seed=data.draw(st.integers(0, 2**32 - 1)))
-    focs = coincidence_fraction(spec, cert).foc_gaps
+    focs = coincidence_fraction(spec).foc_gaps
     flat = bool(np.ptp(focs) <= 2.0 * 8 * math.ulp(1.0) * std_pair.g0.pdf(0.0))
     assert cert.responsive_ok == (not flat), (forced, np.ptp(focs))
 
@@ -264,8 +292,7 @@ def test_responsive_iff_foc_gap_moves(std_pair, data):
 def test_degenerate_fit_flagged(std_pair):
     """A family far from the coincidence set yields all-zero fractions."""
     fam = location_family(logistic(0, 1), ParameterBox((2.0,), (3.0,)))
-    cert = certify(fam, std_pair.gap(0.0))
-    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=200, seed=1, tolerances=(0.01, 0.001)), cert)
+    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=200, seed=1, tolerances=(0.01, 0.001)))
     assert res.fractions == (0.0, 0.0)
     assert res.degenerate_fit
     assert math.isnan(res.scaling_slope)
@@ -274,8 +301,8 @@ def test_degenerate_fit_flagged(std_pair):
 
 
 def test_scaling_report_verdict_and_bootstrap(std_pair, logistic_location):
-    fam, cert = logistic_location
-    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=10000, seed=20250810), cert)
+    fam = logistic_location
+    res = coincidence_fraction(make_spec(fam, std_pair, n_samples=10000, seed=20250810))
     report = scaling_report(res)
     assert report.verdict == VERDICT_CONSISTENT
     assert report.slope_lo <= report.scaling_slope <= report.slope_hi
@@ -328,9 +355,9 @@ def test_bootstrap_block_edges_match_mean_loop(std_pair, logistic_location, n, s
 
 
 def _check_band_matches_loop(std_pair, logistic_location, n, seed, n_resamples):
-    fam, cert = logistic_location
+    fam = logistic_location
     spec = make_spec(fam, std_pair, n_samples=n, seed=seed, tolerances=(0.3, 0.1, 0.01, 0.001))
-    res = coincidence_fraction(spec, cert)
+    res = coincidence_fraction(spec)
     # an infinite metric (an infinite accuracy optimum) is below no tolerance
     res = dataclasses.replace(res, metrics=np.where(np.arange(n) % 5 == 4, math.inf, res.metrics))
     report = scaling_report(res, n_resamples)
@@ -372,10 +399,10 @@ def test_levels_and_fractions_match_the_masks(std_pair, logistic_location, ladde
     levels = genericity.coincidence_levels(focs, tolerances)
     for j, tol in enumerate(tolerances):
         np.testing.assert_array_equal(levels > j, focs < tol)
-    fam, cert = logistic_location
+    fam = logistic_location
     spec = make_spec(fam, std_pair, n_samples=len(focs), tolerances=tolerances)
-    with mock.patch.object(genericity, "_foc_at_zero", lambda pair, reward, cdf: focs):
-        res = coincidence_fraction(spec, cert)
+    with mock.patch.object(genericity, "foc_at_zero", lambda m: focs):
+        res = coincidence_fraction(spec)
     metrics = np.abs(focs)
     np.testing.assert_array_equal(res.metrics, metrics)
     want = tuple(float(np.mean(metrics < tol)) for tol in tolerances)
@@ -420,10 +447,9 @@ def test_two_parameter_family_slope(std_pair):
         (normal(-2, 0.8), normal(2, 0.8), logistic(0, 1)),
         ParameterBox((0.1, 0.1), (0.45, 0.45)),
     )
-    cert = certify(fam, std_pair.gap(0.0))
     spec = make_spec(fam, std_pair, n_samples=8000, seed=17,
                      tolerances=(0.03, 0.01, 0.003, 0.001))
-    res = coincidence_fraction(spec, cert)
+    res = coincidence_fraction(spec)
     assert 0.8 <= res.scaling_slope <= 1.2
 
 

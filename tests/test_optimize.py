@@ -114,9 +114,16 @@ def test_accuracy_thresholds_scan_signal_terms_once(std_pair, monkeypatch):
         return gap_terms(pair, t)
 
     monkeypatch.setattr(SignalPair, "_gap_terms", counted)
-    accuracy_thresholds(fam, xs, std_pair, 1.0)
+    accuracy_thresholds(ModelConfig(std_pair, fam.at(xs), 1.0))
     assert shapes.count((1, SEARCH_N)) == 1
     assert all(s[0] == 200 for s in shapes if s != (1, SEARCH_N))
+
+
+def test_accuracy_thresholds_of_no_members(std_pair):
+    """Zero rows take the many-row path and give no thresholds."""
+    fam = location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
+    got = accuracy_thresholds(ModelConfig(std_pair, fam.at(np.empty((0, 1))), 1.0))
+    assert got.shape == (0,)
 
 
 def test_accuracy_value_dominates_grid(std_model):
