@@ -19,7 +19,8 @@ Subcommands:
                      ``fractions.dat``) under ``<out>/demo-<UTC stamp>/``
 
 ``optimize`` and ``sweep`` require reward > 0.  Exit codes: 0 success, 1
-configuration or usage error, 2 numeric guardrail failure.
+configuration or usage error or an output that cannot be written, 2
+numeric guardrail failure.
 """
 
 from __future__ import annotations
@@ -245,16 +246,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _run_sweep(cfg: RunConfig, pair: SignalPair, out_dir: Path) -> dict:
-    spec = SweepSpec(
-        family=_require_family(cfg),
-        pair=pair,
-        reward=cfg.reward,
-        n_samples=cfg.sweep.n_samples,
-        tolerances=cfg.sweep.tolerances,
-        seed=cfg.sweep.seed,
-        mode=cfg.sweep.mode,
-    )
-    result = coincidence_fraction(spec)
+    result = coincidence_fraction(SweepSpec(_require_family(cfg), pair, cfg.reward, **vars(cfg.sweep)))
     report = scaling_report(result)
     write_sweep_csv(out_dir / "samples.csv", result)
     # the summary names the CSV by its constant basename so identical
@@ -369,7 +361,9 @@ def run_cli(argv=None) -> int:
     except VerificationFailedError as err:
         print(f"numeric guardrail failure: {err}", file=sys.stderr)
         return 2
-    except ThresholdLabError as err:
+    except (ThresholdLabError, OSError) as err:
+        # an OSError here is an output that cannot be written; config
+        # reads already raise ConfigError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

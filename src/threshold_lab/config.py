@@ -18,11 +18,11 @@ One schema serves every command; commands pick the parts they need.
       "reward": 1.0,
       "grid": {"lo": -5, "hi": 5, "n": 101},
       "equivalence_tolerance": 1e-6,
-      "sweep": {
-        "n_samples": 10000,
-        "tolerances": [0.1, 0.01, 0.001],
-        "seed": 20250810,
-        "mode": "foc_gap"                // foc_gap | threshold_distance
+      "sweep": {                           // checked by genericity.SweepOptions
+        "n_samples": 10000,                // integer >= 1
+        "tolerances": [0.1, 0.01, 0.001],  // finite, > 0, strictly descending
+        "seed": 20250810,                  // integer >= 0
+        "mode": "foc_gap"                  // foc_gap | threshold_distance
       }
     }
 
@@ -31,8 +31,12 @@ Mixture distributions nest components with weights:
 
 Every referenced distribution is constructed during loading, so an invalid
 scale or weight fails here with the offending field path, not later in the
-middle of a run.  ``RunConfig.echo`` is the fully resolved configuration
-(defaults filled) and is embedded in outputs for exact reruns.
+middle of a run.  The sweep section's values pass the one
+``SweepOptions`` check that ``SweepSpec`` also runs; the loader checks
+only that the section is an object and the ladder a nonempty list of
+finite numbers, and prefixes the check's message with ``config.sweep.``.
+``RunConfig.echo`` is the fully resolved configuration (defaults filled)
+and is embedded in outputs for exact reruns.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from pathlib import Path
 from .distributions import ScalarDistribution, make_distribution
 from .errors import ConfigError, DistributionError, ThresholdLabError
 from .families import CostFamily, ParameterBox, make_cost_family
-from .genericity import MODES
+from .genericity import SweepOptions
 
 __all__ = ["RunConfig", "SweepOptions", "load_config", "load_config_dict", "DEFAULTS"]
 
@@ -56,14 +60,6 @@ DEFAULTS = {
     "equivalence_tolerance": 1e-6,
     "sweep": {"n_samples": 10000, "tolerances": [0.1, 0.01, 0.001], "seed": 20250810, "mode": "foc_gap"},
 }
-
-
-@dataclass(frozen=True)
-class SweepOptions:
-    n_samples: int
-    tolerances: tuple[float, ...]
-    seed: int
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -210,37 +206,22 @@ def load_config_dict(raw: dict) -> RunConfig:
     if eq_tol <= 0.0:
         raise ConfigError(f"config.equivalence_tolerance: must be > 0, got {eq_tol}")
 
-    sweep_obj = _as_dict(raw.get("sweep", {}), "config.sweep")
-    n_samples = _as_int(sweep_obj.get("n_samples", DEFAULTS["sweep"]["n_samples"]), "config.sweep.n_samples")
-    if n_samples < 1:
-        raise ConfigError(f"config.sweep.n_samples: must be >= 1, got {n_samples}")
-    tol_raw = sweep_obj.get("tolerances", DEFAULTS["sweep"]["tolerances"])
+    sweep_obj = {**DEFAULTS["sweep"], **_as_dict(raw.get("sweep", {}), "config.sweep")}
+    tol_raw = sweep_obj["tolerances"]
     if not isinstance(tol_raw, list) or not tol_raw:
         raise ConfigError("config.sweep.tolerances: expected a nonempty list of numbers")
-    tolerances = tuple(_as_number(t, f"config.sweep.tolerances[{i}]") for i, t in enumerate(tol_raw))
-    if any(t <= 0.0 for t in tolerances):
-        raise ConfigError("config.sweep.tolerances: tolerances must be > 0")
-    if any(nxt >= prev for prev, nxt in zip(tolerances, tolerances[1:])):
-        raise ConfigError(f"config.sweep.tolerances: must be strictly descending, got {list(tolerances)}")
-    seed = _as_int(sweep_obj.get("seed", DEFAULTS["sweep"]["seed"]), "config.sweep.seed")
-    if seed < 0:
-        raise ConfigError(f"config.sweep.seed: must be >= 0, got {seed}")
-    mode = sweep_obj.get("mode", DEFAULTS["sweep"]["mode"])
-    if mode not in MODES:
-        raise ConfigError(f"config.sweep.mode: expected one of {MODES}, got {mode!r}")
-    sweep = SweepOptions(n_samples=n_samples, tolerances=tolerances, seed=seed, mode=mode)
+    tolerances = [_as_number(t, f"config.sweep.tolerances[{i}]") for i, t in enumerate(tol_raw)]
+    try:
+        sweep = SweepOptions(sweep_obj["n_samples"], tolerances, sweep_obj["seed"], sweep_obj["mode"])
+    except ValueError as err:
+        raise ConfigError(f"config.sweep.{err}") from err
 
     echo = {
         "signal_pair": {"g0": _dist_echo(g0), "g1": _dist_echo(g1), "auto_normalize": auto_normalize},
         "reward": reward,
         "grid": {"lo": lo, "hi": hi, "n": n},
         "equivalence_tolerance": eq_tol,
-        "sweep": {
-            "n_samples": n_samples,
-            "tolerances": list(tolerances),
-            "seed": seed,
-            "mode": mode,
-        },
+        "sweep": {**vars(sweep), "tolerances": list(sweep.tolerances)},
     }
     if cost is not None:
         echo["cost"] = _dist_echo(cost)

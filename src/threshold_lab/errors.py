@@ -5,11 +5,15 @@ out-of-box parameters, numeric guardrails) derive from ThresholdLabError,
 so callers (and the CLI exit-code mapping) can tell validation problems
 from numeric guardrail failures.  Argument checks of library calls raise
 a bare ValueError instead: ``compliance_optimal`` (reward <= 0),
-``accuracy_optimal`` (search window), ``SweepSpec`` (reward <= 0 among
-others), ``ModelConfig``, ``equivalence_verdict``, ``fit_loglog_slope``
-and ``scaling_report``.
-The CLI checks the config values that reach those calls first, so a bad
-config value exits 1 with its field path instead of one of these errors.
+``accuracy_optimal`` (search window), ``SweepOptions`` (sample count,
+tolerance ladder, seed and mode; each message starts with the field
+name), ``SweepSpec`` (reward <= 0, and its sweep settings through
+``SweepOptions``), ``ModelConfig``, ``equivalence_verdict``,
+``fit_loglog_slope`` and ``scaling_report`` (``n_resamples``).
+The config loader runs the ``SweepOptions`` check itself and raises its
+message as a ConfigError under ``config.sweep.``; the CLI checks the other
+config values that reach those calls first, so a bad config value exits 1
+with its field path instead of one of these errors.
 """
 
 

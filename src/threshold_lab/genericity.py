@@ -40,6 +40,7 @@ them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ from .optimize import accuracy_thresholds
 from .signals import SignalPair
 
 __all__ = [
+    "SweepOptions",
     "SweepSpec",
     "SweepResult",
     "ScalingReport",
@@ -82,9 +84,52 @@ _BOOTSTRAP_SALT = 48879
 _BOOTSTRAP_DRAWS = 2**16
 
 
+def _check_count(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name}: must be >= {least}, got {value}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class SweepOptions:
+    """A sweep's sample count, tolerance ladder, seed and mode.
+
+    The constructor is the one check of these four settings, for
+    ``SweepSpec`` and the config loader alike: ``n_samples`` and ``seed``
+    are integers (not bools) >= 1 and >= 0, the ladder is nonempty, finite,
+    positive and strictly descending, and ``mode`` is one of ``MODES``.
+    A refusal is a ValueError whose text starts with the field name.  The
+    ladder is stored as the tuple of floats that was checked.
+    """
+
+    n_samples: int
+    tolerances: tuple[float, ...]
+    seed: int
+    mode: str = "foc_gap"
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_samples", _check_count(self.n_samples, "n_samples", 1))
+        tols = tuple(float(t) for t in self.tolerances)
+        if not tols or not all(math.isfinite(t) and t > 0.0 for t in tols):
+            raise ValueError(f"tolerances: must be nonempty, finite and > 0, got {list(tols)}")
+        if any(nxt >= prev for prev, nxt in zip(tols, tols[1:])):
+            raise ValueError(f"tolerances: must be strictly descending, got {list(tols)}")
+        object.__setattr__(self, "tolerances", tols)
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
+        if self.mode not in MODES:
+            raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Everything a sweep needs; immutable and fully seeded."""
+    """Everything a sweep needs; immutable and fully seeded.
+
+    ``n_samples``, ``tolerances``, ``seed`` and ``mode`` pass the
+    ``SweepOptions`` check and are stored as it stores them.
+    """
 
     family: CostFamily
     pair: SignalPair
@@ -95,21 +140,13 @@ class SweepSpec:
     mode: str = "foc_gap"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        options = SweepOptions(self.n_samples, self.tolerances, self.seed, self.mode)
+        for name in ("n_samples", "tolerances", "seed"):
+            object.__setattr__(self, name, getattr(options, name))
         # at r < 0 the kernel's F(r * gap(0)) = 1/2 is not the coincidence
         # condition (the rules' roles flip), and at r = 0 nothing moves
         if not 0.0 < self.reward < math.inf:
             raise ValueError(f"sweep requires a finite reward > 0, got {self.reward}")
-        tols = tuple(float(t) for t in self.tolerances)
-        if not tols or not all(math.isfinite(t) and t > 0.0 for t in tols):
-            raise ValueError(f"tolerances must be finite and positive, got {tols}")
-        if any(nxt >= prev for prev, nxt in zip(tols, tols[1:])):
-            raise ValueError(f"tolerances must be strictly descending, got {tols}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +295,8 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     smallest-tolerance fraction is below SMALLEST_FRACTION_MAX.  The
     bootstrap resamples the per-sample metrics (seeded from the sweep
     seed, so reruns are bit-identical) and reports the 2.5/97.5 percentile
-    band of the refitted slope.  ``n_resamples`` must be at least 1.
+    band of the refitted slope.  ``n_resamples`` must be an integer (not a
+    bool) of at least 1.
 
     The resamples are drawn in blocks from one generator: a block of b
     resamples is one ``rng.integers(0, n, (b, n))`` call, which yields
@@ -268,6 +306,8 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     the same pattern of positive rungs are refitted with one ``lstsq``
     (see ``_fit_slopes``).
     """
+    if isinstance(n_resamples, bool) or not isinstance(n_resamples, numbers.Integral):
+        raise ValueError(f"n_resamples must be an integer, got {n_resamples!r}")
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     rng = np.random.default_rng((result.seed, _BOOTSTRAP_SALT))

@@ -274,6 +274,21 @@ def test_flag_values_pass_the_config_gate(tmp_path, capsys, command, flag, messa
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "command, config, out",
+    [("optimize", "model_config", "afile/sub"), ("sweep", "sweep_config", "afile")],
+)
+def test_unwritable_output_exits_1(request, tmp_path, capsys, monkeypatch, command, config, out):
+    """An output path under or at a regular file is an error line, not a
+    traceback."""
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("x")
+    assert main([command, "--config", str(request.getfixturevalue(config)), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "afile" in err
+    assert "Traceback" not in err
+
+
 def test_optimize_json(model_config, capsys):
     assert main(["optimize", "--config", str(model_config)]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -100,7 +100,7 @@ def _with_field(field, value):
         ("cost_family.kind", "affine", "config.cost_family.kind: unknown family kind 'affine'"),
         ("signal_pair.auto_normalize", 1, "config.signal_pair.auto_normalize: expected true/false"),
         ("sweep.n_samples", 0, "config.sweep.n_samples: must be >= 1, got 0"),
-        ("sweep.tolerances", [0.1, 0.0], "config.sweep.tolerances: tolerances must be > 0"),
+        ("sweep.tolerances", [0.1, 0.0], "config.sweep.tolerances: must be nonempty, finite and > 0, got [0.1, 0.0]"),
         ("sweep.mode", "newton", "config.sweep.mode: expected one of"),
     ],
 )
@@ -108,6 +108,38 @@ def test_rejection_names_the_field(field, value, message):
     with pytest.raises(ConfigError) as err:
         load_config_dict(_with_field(field, value))
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_samples", 0, "n_samples: must be >= 1, got 0"),
+        ("n_samples", 2.5, "n_samples: expected an integer, got 2.5"),
+        ("n_samples", True, "n_samples: expected an integer, got True"),
+        ("seed", -1, "seed: must be >= 0, got -1"),
+        ("seed", 1.5, "seed: expected an integer, got 1.5"),
+        ("seed", True, "seed: expected an integer, got True"),
+        ("tolerances", (0.1, 0.0), "tolerances: must be nonempty, finite and > 0, got [0.1, 0.0]"),
+        ("tolerances", (0.1, 0.1), "tolerances: must be strictly descending, got [0.1, 0.1]"),
+        ("tolerances", (0.01, 0.1), "tolerances: must be strictly descending, got [0.01, 0.1]"),
+        ("mode", "newton", "mode: expected one of ('foc_gap', 'threshold_distance'), got 'newton'"),
+    ],
+)
+def test_sweep_settings_refused_alike_by_both_doors(std_pair, field, value, message):
+    """The loader and ``SweepSpec`` run the one ``SweepOptions`` check, so a
+    value either refuses is refused by both with the same text; the loader
+    only prefixes the config path.  A fractional count would otherwise fail
+    inside numpy without naming the field, and a bool is not a count
+    (``seed=True`` would run as seed 1)."""
+    raw = _with_field(f"sweep.{field}", list(value) if isinstance(value, tuple) else value)
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(raw)
+    assert str(err.value) == f"config.sweep.{message}"
+    family = load_config_dict({**MINIMAL, "cost_family": FAMILY}).family
+    args = {"n_samples": 10, "tolerances": (0.1, 0.01), "seed": 0, "mode": "foc_gap", field: value}
+    with pytest.raises(ValueError) as err:
+        genericity.SweepSpec(family, std_pair, 1.0, **args)
+    assert str(err.value) == message
 
 
 def test_missing_required_field_path():

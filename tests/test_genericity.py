@@ -82,8 +82,19 @@ def test_spec_validation(std_pair, logistic_location):
         make_spec(fam, std_pair, n_samples=0)
     with pytest.raises(ValueError):
         make_spec(fam, std_pair, mode="newton")
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="seed: must be >= 0"):
         make_spec(fam, std_pair, seed=-1)
+
+
+def test_spec_stores_the_ladder_it_checked(std_pair, logistic_location):
+    """The spec is immutable and hashable whatever sequence the ladder came
+    in, and numpy integer counts are stored as ints."""
+    spec = make_spec(logistic_location, std_pair, tolerances=[0.1, 0.01], n_samples=np.int64(50), seed=np.int64(3))
+    assert spec.tolerances == (0.1, 0.01) and type(spec.tolerances) is tuple
+    assert type(spec.n_samples) is int and type(spec.seed) is int
+    hash(spec)
+    with pytest.raises(ValueError, match=r"^tolerances: must be nonempty, finite and > 0, got \[\]$"):
+        make_spec(logistic_location, std_pair, tolerances=())
 
 
 def test_sampling_deterministic_and_in_box(std_pair, logistic_location):
@@ -438,6 +449,15 @@ def test_scaling_report_rejects_fewer_than_one_resample(n_resamples):
     negative count would fail inside numpy without naming the argument."""
     res = _metrics_report(4, np.r_[np.full(30, 0.2), np.full(30, 0.5)])
     with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+        scaling_report(res, n_resamples)
+
+
+@pytest.mark.parametrize("n_resamples", [2.5, True])
+def test_scaling_report_resamples_are_an_integer(n_resamples):
+    """A fractional count would fail inside numpy without naming the
+    argument, and a bool is not a count."""
+    res = _metrics_report(4, np.r_[np.full(30, 0.2), np.full(30, 0.5)])
+    with pytest.raises(ValueError, match=rf"^n_resamples must be an integer, got {n_resamples!r}$"):
         scaling_report(res, n_resamples)
 
 
