@@ -53,7 +53,7 @@ from .output import (
     write_sweep_csv,
     write_xy,
 )
-from .signals import SignalPair, _normalized, check_admissible, normalize_pair
+from .signals import SignalPair, check_admissible, normalize_pair
 
 __all__ = ["main", "run_cli"]
 
@@ -180,7 +180,7 @@ def _cmd_check(args) -> int:
         "config": cfg.echo,
     }
     if cfg.family is not None:
-        pivot = cfg.reward * _normalized(cfg.g0, cfg.g1, report).gap(0.0) if report.admissible else None
+        pivot = cfg.reward * normalize_pair(cfg.g0, cfg.g1).gap(0.0) if report.admissible else None
         payload["cost_family"] = certify(cfg.family, pivot).summary()
     _emit(payload, args.out, "check.json")
     return 0
@@ -294,7 +294,7 @@ def _cmd_demo(args) -> int:
     cfg = load_config_dict(DEMO_CONFIG)
     report = check_admissible(cfg.g0, cfg.g1)
     print(f"[demo] pair admissible: {report.admissible} (ratio slope >= {report.min_ratio_slope:.3f})")
-    pair = _normalized(cfg.g0, cfg.g1, report)
+    pair = normalize_pair(cfg.g0, cfg.g1)
     model = ModelConfig(pair=pair, cost=cfg.cost, reward=cfg.reward)
 
     _write_equilibrium(out_dir, model, np.linspace(*cfg.grid[:2], cfg.grid[2]))

@@ -31,7 +31,11 @@ Mixture distributions nest components with weights:
 
 Every referenced distribution is constructed during loading, so an invalid
 scale or weight fails here with the offending field path, not later in the
-middle of a run.  The sweep section's values pass the one
+middle of a run.  A key the schema does not name is refused at every level
+(``config.sweep.n_sample: unknown field``), so a misspelt field is an
+error, not a default run; that includes a ``basis`` on a location family,
+a ``template`` on a ``mixture_linear`` one, ``params`` on a mixture and
+``components`` on any other kind.  The sweep section's values pass the one
 ``SweepOptions`` check that ``SweepSpec`` also runs; the loader checks
 only that the section is an object and the ladder a nonempty list of
 finite numbers, and prefixes the check's message with ``config.sweep.``.
@@ -84,6 +88,13 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _known(obj: dict, path: str, *fields: str) -> None:
+    """Refuse the first key of ``obj`` that is not one of ``fields``."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
 def _as_dict(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -109,15 +120,18 @@ def parse_distribution(obj, path: str) -> ScalarDistribution:
     kind = _need(obj, "kind", path)
     try:
         if kind == "mixture":
+            _known(obj, path, "kind", "components")
             raw = _need(obj, "components", path)
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(f"{path}.components: expected a nonempty list")
             comps = []
             for i, item in enumerate(raw):
                 item = _as_dict(item, f"{path}.components[{i}]")
+                _known(item, f"{path}.components[{i}]", "weight", "dist")
                 w = _as_number(_need(item, "weight", f"{path}.components[{i}]"), f"{path}.components[{i}].weight")
                 comps.append((w, parse_distribution(_need(item, "dist", f"{path}.components[{i}]"), f"{path}.components[{i}].dist")))
             return make_distribution("mixture", components=comps)
+        _known(obj, path, "kind", "params")
         params = _need(obj, "params", path)
         if not isinstance(params, list):
             raise ConfigError(f"{path}.params: expected a list of numbers")
@@ -129,6 +143,7 @@ def parse_distribution(obj, path: str) -> ScalarDistribution:
 
 def _parse_box(obj, path: str) -> ParameterBox:
     obj = _as_dict(obj, path)
+    _known(obj, path, "lower", "upper")
     lower = _need(obj, "lower", path)
     upper = _need(obj, "upper", path)
     for name, vec in (("lower", lower), ("upper", upper)):
@@ -145,18 +160,23 @@ def _parse_box(obj, path: str) -> ParameterBox:
 def parse_cost_family(obj, path: str) -> CostFamily:
     obj = _as_dict(obj, path)
     kind = _need(obj, "kind", path)
+    if kind in ("location", "location_scale"):
+        members = "template"
+    elif kind == "mixture_linear":
+        members = "basis"
+    else:
+        raise ConfigError(f"{path}.kind: unknown family kind {kind!r}")
+    _known(obj, path, "kind", "box", members)
     box = _parse_box(_need(obj, "box", path), f"{path}.box")
     template = None
     basis = None
-    if kind in ("location", "location_scale"):
+    if members == "template":
         template = parse_distribution(_need(obj, "template", path), f"{path}.template")
-    elif kind == "mixture_linear":
+    else:
         raw = _need(obj, "basis", path)
         if not isinstance(raw, list) or len(raw) < 2:
             raise ConfigError(f"{path}.basis: expected a list of at least two distributions")
         basis = tuple(parse_distribution(d, f"{path}.basis[{i}]") for i, d in enumerate(raw))
-    else:
-        raise ConfigError(f"{path}.kind: unknown family kind {kind!r}")
     try:
         return make_cost_family(kind, box, template=template, basis=basis)
     except (DistributionError, ThresholdLabError) as err:
@@ -174,8 +194,10 @@ def _dist_echo(d: ScalarDistribution) -> dict:
 
 def load_config_dict(raw: dict) -> RunConfig:
     raw = _as_dict(raw, "config")
+    _known(raw, "config", "signal_pair", "cost", "cost_family", "reward", "grid", "equivalence_tolerance", "sweep")
 
     pair_obj = _as_dict(_need(raw, "signal_pair", "config"), "config.signal_pair")
+    _known(pair_obj, "config.signal_pair", "g0", "g1", "auto_normalize")
     g0 = parse_distribution(_need(pair_obj, "g0", "config.signal_pair"), "config.signal_pair.g0")
     g1 = parse_distribution(_need(pair_obj, "g1", "config.signal_pair"), "config.signal_pair.g1")
     auto_normalize = pair_obj.get("auto_normalize", DEFAULTS["auto_normalize"])
@@ -193,6 +215,7 @@ def load_config_dict(raw: dict) -> RunConfig:
         family = parse_cost_family(raw["cost_family"], "config.cost_family")
 
     grid_obj = _as_dict(raw.get("grid", DEFAULTS["grid"]), "config.grid")
+    _known(grid_obj, "config.grid", *DEFAULTS["grid"])
     lo = _as_number(grid_obj.get("lo", DEFAULTS["grid"]["lo"]), "config.grid.lo")
     hi = _as_number(grid_obj.get("hi", DEFAULTS["grid"]["hi"]), "config.grid.hi")
     n = _as_int(grid_obj.get("n", DEFAULTS["grid"]["n"]), "config.grid.n")
@@ -206,7 +229,9 @@ def load_config_dict(raw: dict) -> RunConfig:
     if eq_tol <= 0.0:
         raise ConfigError(f"config.equivalence_tolerance: must be > 0, got {eq_tol}")
 
-    sweep_obj = {**DEFAULTS["sweep"], **_as_dict(raw.get("sweep", {}), "config.sweep")}
+    sweep_obj = _as_dict(raw.get("sweep", {}), "config.sweep")
+    _known(sweep_obj, "config.sweep", *DEFAULTS["sweep"])
+    sweep_obj = {**DEFAULTS["sweep"], **sweep_obj}
     tol_raw = sweep_obj["tolerances"]
     if not isinstance(tol_raw, list) or not tol_raw:
         raise ConfigError("config.sweep.tolerances: expected a nonempty list of numbers")

@@ -24,6 +24,17 @@ the midpoints of 8 levels at a time and walks them in Python floats.
 the other hypothesis of the model, is not scanned for: every catalog
 distribution is C-infinity by construction.
 
+The scan is a pure function of two frozen distributions, so
+``check_admissible`` keeps the reports of the SCAN_MEMO_SIZE (256) pairs
+it was most recently asked about, least recently used dropped first: a
+pair is scanned once per process however many commands ask about it.  The memo is keyed
+bit for bit, on the type and exact value (``float.hex``) of every
+parameter and weight, so pairs that are only ``==`` (``-0.0`` and
+``0.0``, ``0`` and ``0.0``) never share an entry.  A translated pair is a
+new key and is scanned again, although its verdict is the same.
+``check_admissible.cache_info()`` counts hits and misses and
+``check_admissible.cache_clear()`` empties the memo.
+
 The monotone-ratio check runs on ``log_pdf`` differences: analytic
 log-densities stay finite deep in the tails where the densities themselves
 underflow, so the strictness test is not poisoned by the 1e-300 pdf floor.
@@ -31,6 +42,7 @@ underflow, so the strictness test is not poisoned by the 1e-300 pdf floor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +58,7 @@ __all__ = [
     "CROSSING_MATCH_TOL",
     "NORMALIZED_DENSITY_TOL",
     "BISECT_WIDTH",
+    "SCAN_MEMO_SIZE",
     "AdmissibilityReport",
     "SignalPair",
     "check_admissible",
@@ -72,6 +85,9 @@ NORMALIZED_DENSITY_TOL = 1e-9
 #: a bisection stops once its bracket is this narrow: the density-crossing
 #: bisection here and the accuracy optimizer's slope bisection
 BISECT_WIDTH = 1e-12
+
+#: pairs whose scan reports ``check_admissible`` keeps
+SCAN_MEMO_SIZE = 256
 
 
 def _location(d: ScalarDistribution) -> float:
@@ -234,22 +250,8 @@ def _midpoints(a: float, b: float, depth: int) -> np.ndarray:
     return points[1:-1]
 
 
-def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
-    """The admissibility scan: one pass over the pair's centred window.
-
-    The ratio is strictly increasing iff every consecutive increment of
-    ``log_pdf1 - log_pdf0`` on the grid exceeds MLRP_STRICT_TOL.  The
-    report also carries the density-crossing count, the bisection-refined
-    crossing location when it is unique, the window as ``(lo, hi, n)``,
-    and ``support_ok``: both log-densities finite over the whole window.
-
-    A unique crossing is left unlocated (``crossing_location`` None) where
-    either density sits on PDF_FLOOR, since there the floor, not the
-    densities, made ``pdf0 - pdf1`` vanish (e.g. the run of exact zeros
-    between two well-separated signals), and where the bisection stopped
-    at the float spacing before the densities matched within
-    CROSSING_MATCH_TOL.
-    """
+def _scan(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
+    """The admissibility scan that ``check_admissible`` memoizes."""
     grid = _scan_grid(g0, g1)
     # -inf - -inf is nan where both log-densities overflow; that fails the check
     with np.errstate(invalid="ignore"):
@@ -273,6 +275,64 @@ def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> Admissib
         # a non-finite log-density makes both increments next to it non-finite
         support_ok=bool(np.all(np.isfinite(increments))),
     )
+
+
+def _exact_key(d: ScalarDistribution) -> str:
+    """``d`` spelled bit for bit: its kind, and the type name and
+    ``float.hex`` of every parameter and weight.  Unlike ``repr`` under
+    numpy < 2, it tells ``np.float32(0.1)`` from ``0.1``."""
+    params = (f"{type(x).__name__}:{float(x).hex()}" for x in d.params)
+    components = (f"{type(w).__name__}:{float(w).hex()}*{_exact_key(c)}" for w, c in d.components)
+    return f"{d.kind}({','.join(params)}{','.join(components)})"
+
+
+class _ScanKey:
+    """A distribution as a key of the scan memo: equal to another exactly
+    when their ``_exact_key`` spellings are."""
+
+    __slots__ = ("dist", "key")
+
+    def __init__(self, dist: ScalarDistribution):
+        self.dist = dist
+        self.key = _exact_key(dist)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
+@functools.lru_cache(maxsize=SCAN_MEMO_SIZE)
+def _memo(k0: _ScanKey, k1: _ScanKey) -> AdmissibilityReport:
+    return _scan(k0.dist, k1.dist)
+
+
+def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
+    """The admissibility scan: one pass over the pair's centred window.
+
+    The ratio is strictly increasing iff every consecutive increment of
+    ``log_pdf1 - log_pdf0`` on the grid exceeds MLRP_STRICT_TOL.  The
+    report also carries the density-crossing count, the bisection-refined
+    crossing location when it is unique, the window as ``(lo, hi, n)``,
+    and ``support_ok``: both log-densities finite over the whole window.
+
+    A unique crossing is left unlocated (``crossing_location`` None) where
+    either density sits on PDF_FLOOR, since there the floor, not the
+    densities, made ``pdf0 - pdf1`` vanish (e.g. the run of exact zeros
+    between two well-separated signals), and where the bisection stopped
+    at the float spacing before the densities matched within
+    CROSSING_MATCH_TOL.
+
+    A pair scanned before, bit for bit, gets the report of that scan
+    from the memo (see the module docstring), so each pair is scanned
+    once per process.
+    """
+    return _memo(_ScanKey(g0), _ScanKey(g1))
+
+
+check_admissible.cache_info = _memo.cache_info
+check_admissible.cache_clear = _memo.cache_clear
 
 
 def _unique_crossing(report: AdmissibilityReport) -> float:
@@ -305,8 +365,17 @@ def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
     return _unique_crossing(check_admissible(g0, g1))
 
 
-def _normalized(g0: ScalarDistribution, g1: ScalarDistribution, report: AdmissibilityReport) -> SignalPair:
-    """``normalize_pair`` on a pair whose scan ``report`` the caller holds."""
+def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair:
+    """Translate both distributions so the density crossing sits at 0.
+
+    Succeeds exactly when ``check_admissible`` says the pair is
+    admissible, and takes the crossing from that scan, so a caller that
+    scanned the pair first finds it in the memo.  The scan is translation
+    invariant (its window follows the pair), so the translated pair is
+    not scanned again.  Idempotent: normalizing a normalized pair records
+    shift 0.
+    """
+    report = check_admissible(g0, g1)
     if not (report.mlrp_ok and report.support_ok):
         raise AdmissibilityError(
             f"cannot normalize: strictly increasing likelihood ratio {report.mlrp_ok} "
@@ -314,15 +383,3 @@ def _normalized(g0: ScalarDistribution, g1: ScalarDistribution, report: Admissib
         )
     t_star = _unique_crossing(report)
     return SignalPair(g0=g0.shifted(-t_star), g1=g1.shifted(-t_star), shift=t_star)
-
-
-def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair:
-    """Translate both distributions so the density crossing sits at 0.
-
-    Succeeds exactly when ``check_admissible`` says the pair is
-    admissible, and takes the crossing from that scan.  The scan is
-    translation invariant (its window follows the pair), so the
-    translated pair is not scanned again.  Idempotent: normalizing a
-    normalized pair records shift 0.
-    """
-    return _normalized(g0, g1, check_admissible(g0, g1))

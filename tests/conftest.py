@@ -18,6 +18,7 @@ from hypothesis import settings
 
 from threshold_lab import (
     ModelConfig,
+    check_admissible,
     gumbel,
     logistic,
     mixture,
@@ -29,6 +30,13 @@ from threshold_lab import (
 # example database, so a run's pass/fail count repeats
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
+
+
+@pytest.fixture(autouse=True)
+def _empty_scan_memo():
+    """Each test starts with an empty admissibility-scan memo, so the scans
+    it counts are its own."""
+    check_admissible.cache_clear()
 
 
 # ---------------------------------------------------------------------------

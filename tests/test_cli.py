@@ -460,8 +460,9 @@ def test_check_narrow_pair_is_admissible(tmp_path, capsys):
 
 
 def test_check_and_demo_scan_the_pair_once(tmp_path, capsys, monkeypatch):
-    """``check`` and ``demo`` normalize the pair from the admissibility
-    report they hold, so each scans its pair once."""
+    """``check`` scans its pair once: the normalization for the
+    certificate's pivot finds the report in the scan memo.  ``demo`` then
+    finds DEMO_CONFIG's pair there too and scans nothing."""
     import threshold_lab.signals as signals
 
     scans = []
@@ -473,7 +474,23 @@ def test_check_and_demo_scan_the_pair_once(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["cost_family"]["responsive_ok"] is True
     assert len(scans) == 1
     assert main(["demo", "--out", str(tmp_path)]) == 0
-    assert len(scans) == 2
+    assert len(scans) == 1
+
+
+def test_repeated_commands_read_the_scan_memo(model_config, tmp_path, capsys):
+    """``check``, ``optimize`` and ``equilibrium`` run twice each on one
+    config scan its pair once, and the warm runs write the cold runs'
+    bytes."""
+    for run in ("cold", "warm"):
+        for command in ("check", "optimize", "equilibrium"):
+            assert main([command, "--config", str(model_config), "--out", str(tmp_path / run / command)]) == 0
+    info = threshold_lab.check_admissible.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    written = {run: sorted(p.relative_to(tmp_path / run) for p in (tmp_path / run).rglob("*") if p.is_file())
+               for run in ("cold", "warm")}
+    assert written["warm"] == written["cold"] and len(written["cold"]) == 4  # check, optimize, equilibrium x2
+    for rel in written["cold"]:
+        assert (tmp_path / "warm" / rel).read_bytes() == (tmp_path / "cold" / rel).read_bytes(), rel
 
 
 def test_sweep_requires_family(model_config, capsys):

@@ -187,6 +187,44 @@ def test_mixture_linear_family_config_parses():
         load_config_dict({"signal_pair": MINIMAL["signal_pair"], "cost_family": short})
 
 
+NORMAL = {"kind": "normal", "params": [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("rewrad", 3, "config.rewrad"),
+        ("signal_pair.auto_normalise", False, "config.signal_pair.auto_normalise"),
+        ("cost", {**NORMAL, "weight": 3}, "config.cost.weight"),
+        ("signal_pair.g0.components", [{"weight": 1.0, "dist": NORMAL}], "config.signal_pair.g0.components"),
+        (
+            "cost",
+            {"kind": "mixture", "components": [{"weight": 1.0, "dist": NORMAL}], "params": [0, 1]},
+            "config.cost.params",
+        ),
+        (
+            "cost",
+            {"kind": "mixture", "components": [{"weight": 1.0, "dist": NORMAL, "scale": 2}]},
+            "config.cost.components[0].scale",
+        ),
+        ("cost_family.name", "shifted logistic", "config.cost_family.name"),
+        ("cost_family.basis", [NORMAL, NORMAL], "config.cost_family.basis"),
+        ("cost_family", {**FAMILIES["mixture_linear"], "template": NORMAL}, "config.cost_family.template"),
+        ("cost_family.box.step", [0.1], "config.cost_family.box.step"),
+        ("grid.step", 0.1, "config.grid.step"),
+        ("sweep.n_sample", 5, "config.sweep.n_sample"),
+    ],
+    ids=["top", "signal_pair", "distribution", "components-on-normal", "params-on-mixture", "mixture-component",
+         "cost_family", "basis-on-location", "template-on-mixture_linear", "box", "grid", "sweep"],
+)
+def test_unknown_field_is_refused(field, value, path):
+    """A key the schema does not name is refused at every level, so a
+    misspelt field is an error and not a run of the default experiment."""
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(_with_field(field, value))
+    assert str(err.value) == f"{path}: unknown field"
+
+
 ROUND_TRIP_CONFIGS = {
     "demo": DEMO_CONFIG,
     "mixture_cost": {

@@ -1,5 +1,6 @@
 """Admissibility scans, crossing detection, and pair normalization."""
 
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,8 @@ from threshold_lab import (
     normal,
     normalize_pair,
 )
-from threshold_lab.signals import BISECT_WIDTH, _bisect, _crossing_brackets, _scan_grid
+from threshold_lab.distributions import ScalarDistribution
+from threshold_lab.signals import BISECT_WIDTH, SCAN_MEMO_SIZE, _bisect, _crossing_brackets, _scan, _scan_grid
 from conftest import suite_pair_specs
 
 FINITE_GRID = np.linspace(-8.0, 8.0, 321)
@@ -380,7 +382,7 @@ def test_scan_crossing_matches_one_level_loop(index, a, s):
     h0, h1 = g0.affine(a, s), g1.affine(a, s)
     got = check_admissible(h0, h1)
     with mock.patch("threshold_lab.signals._bisect", _one_level_bisect):
-        want = check_admissible(h0, h1)
+        want = _scan(h0, h1)  # past the memo, which holds ``got``
     assert repr(got) == repr(want)
 
 
@@ -421,3 +423,78 @@ def test_crossing_on_pdf_floor_is_unresolved(g0, g1):
         normalize_pair(g0, g1)
     with pytest.raises(AdmissibilityError, match="pdf floor"):
         find_crossing(g0, g1)
+
+
+def _report_bits(report):
+    """A report's fields with each float as its ``float.hex``: equal for two
+    reports exactly when they agree bit for bit."""
+
+    def spell(x):
+        if isinstance(x, tuple):
+            return tuple(spell(v) for v in x)
+        return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+
+    return {f.name: spell(getattr(report, f.name)) for f in fields(report)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, len(suite_pair_specs()) - 1), a=st.floats(-1e3, 1e3), s=st.floats(1e-2, 1e2))
+@example(index=19, a=0.0, s=0.01)  # a narrow mixture pair: crossing_location is None
+def test_memo_hit_is_the_scan(index, a, s):
+    """On the suite pairs and the affine images
+    ``test_admissible_iff_normalizable`` draws, the memo's hit is the
+    report of the scan it skips, every float bit for bit."""
+    _, g0, g1 = suite_pair_specs()[index]
+    h0, h1 = g0.affine(a, s), g1.affine(a, s)
+    check_admissible.cache_clear()
+    miss = check_admissible(h0, h1)
+    hit = check_admissible(replace(h0), replace(h1))  # copies, not the same objects
+    assert (check_admissible.cache_info().hits, check_admissible.cache_info().misses) == (1, 1)
+    assert _report_bits(hit) == _report_bits(miss) == _report_bits(_scan(h0, h1))
+
+
+def test_memo_hit_has_no_location_on_narrow_mixture():
+    """The example above does reach a report without a crossing location."""
+    _, g0, g1 = suite_pair_specs()[19]
+    assert check_admissible(g0.affine(0.0, 0.01), g1.affine(0.0, 0.01)).crossing_location is None
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(-0.0, 0.0), (0, 0.0), (np.float32(0.1), 0.1)],
+    ids=["signed-zero", "int-zero", "float32"],
+)
+def test_memo_keeps_equal_pairs_apart(x, y):
+    """Locations that are ``==`` or spelled alike by ``repr`` under numpy < 2,
+    but not the same number, take one memo entry each against one partner."""
+    partner = normal(2.0, 1.0)
+    for loc in (x, y):
+        check_admissible(ScalarDistribution("normal", (loc, 1.0)), partner)
+    assert check_admissible.cache_info().currsize == 2
+
+
+def test_memo_is_bounded():
+    """The memo keeps the SCAN_MEMO_SIZE most recent pairs: one more pair
+    drops the least recently used, which is then scanned again."""
+    partner = normal(2.0, 1.0)
+    locs = [0.001 * k for k in range(SCAN_MEMO_SIZE + 1)]
+    for loc in locs:
+        check_admissible(normal(loc, 1.0), partner)
+    assert check_admissible.cache_info().currsize == SCAN_MEMO_SIZE
+    check_admissible(normal(locs[-1], 1.0), partner)
+    assert check_admissible.cache_info().hits == 1
+    check_admissible(normal(locs[0], 1.0), partner)
+    assert check_admissible.cache_info().misses == SCAN_MEMO_SIZE + 2
+
+
+def test_memo_hit_refuses_as_the_scan_did():
+    """An inadmissible pair raises the same AdmissibilityError text from
+    ``normalize_pair`` on a memo hit as on the miss before it."""
+    messages = []
+    for _ in range(2):
+        with pytest.raises(AdmissibilityError) as err:
+            normalize_pair(normal(0, 1), normal(0, 4))
+        messages.append(str(err.value))
+    assert check_admissible.cache_info().hits == 1
+    assert messages[0] == messages[1]
+    assert "strictly increasing likelihood ratio False" in messages[0]
