@@ -30,7 +30,7 @@ comp = compliance_optimal(m)
 acc = accuracy_optimal(m)
 print(f"compliance optimum: t = {comp.threshold:g} (prevalence {comp.value:.6f}, {comp.method})")
 print(f"accuracy  optimum: t = {acc.threshold:.8f} (payoff {acc.value:.6f}, {acc.method}, "
-      f"{acc.iterations} slope bisections, bracket {acc.bracket_width:.1e})")
+      f"{acc.iterations} root-finder steps, bracket {acc.bracket_width:.1e})")
 print(f"equivalent at tol 1e-6? {equivalence_test(m, 1e-6).equivalent}")
 
 # bisect the payoff slope at zero as a function of the cost location

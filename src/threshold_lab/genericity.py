@@ -25,8 +25,8 @@ Two metrics are available:
   evaluation per sample;
 * ``threshold_distance`` -- |accuracy-optimal threshold|, the optimum
   of every sample found in one batched run of the optimizer
-  (``accuracy_thresholds``: a grid scan in row blocks, then a lockstep
-  slope bisection over all samples).
+  (``accuracy_thresholds``: a grid scan in row blocks, then the slope's
+  root for all samples in lockstep).
 
 Reproducibility: all draws derive from the spec seed.  Both metrics are
 batched over the whole sample matrix: the sweep builds one model whose

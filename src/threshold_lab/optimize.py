@@ -8,14 +8,15 @@ grid point beats it, which would indicate a broken normalization upstream.
 
 The accuracy payoff carries no concavity guarantee, so the accuracy
 optimum is found by one refiner: a dense grid scan over the search
-window, then bisection of the closed-form payoff slope ``deu_pos`` on the
-two grid cells around the grid argmax, down to a bracket of 1e-12, and
-finally a comparison with the two infinite endpoints.  Bisecting the
-slope, not comparing payoff values, is what localizes the optimum: near a
-smooth maximum the payoff is flat to machine precision within ~1e-8 of
-the argmax, while the slope crosses zero transversally and pins it to
-~1e-12.  When the slope does not change sign from + to - across those two
-cells there is no interior maximum to pin, and the grid point stands.
+window, then the root of the closed-form payoff slope ``deu_pos`` on the
+two grid cells around the grid argmax, refined to a bracket of 1e-12,
+and finally a comparison with the two infinite endpoints.  The slope's
+root, not a comparison of payoff values, is what localizes the optimum:
+near a smooth maximum the payoff is flat to machine precision within
+~1e-8 of the argmax, while the slope crosses zero transversally and pins
+it to ~1e-12.  When the slope does not change sign from + to - across
+those two cells there is no interior maximum to pin, and the grid point
+stands.
 
 The refiner runs over rows in lockstep: ``accuracy_optimal`` feeds it one
 model, ``accuracy_thresholds`` a model whose cost is a cost family's
@@ -25,15 +26,14 @@ The grid scan splits the payoff into its signal terms (the pivot
 r * gap(t), sf1(t) and cdf0(t), the same for every row) and its cost term
 F(pivot | row): the signal terms are evaluated on the grid once per call,
 the cost term one block of rows at a time.
-One row's slope bisection runs through ``signals._bisect``, the
-density-crossing scan's bisection: each slope call evaluates the row at
-the 255 midpoints of the next 8 levels of its bisection tree, and the
-walk down those levels runs in Python floats, taking exactly the steps of
-a one-level-per-call loop (a call on 255 points costs about as much as a
-call on one: numpy overhead, not arithmetic, sets the price).  Many rows
-bisect in lockstep on arrays, one level per slope call, where a float
-walk would cost a Python step per row and level.  The two slopes at the
-bracket ends share one call.
+The slope's root is found by ``signals._root``, the root finder of the
+density-crossing scan: regula falsi with the Illinois fix, every row in
+lockstep, one slope call per step on one point per row.  The two slopes
+at the bracket ends share one call before it, and are its end values.
+From a grid cell of 0.1 to BISECT_WIDTH bisection needs 37 halvings,
+where the Illinois steps, which converge superlinearly, take 4 on the
+demo model and at most 8 on any row of a 2000-sample sweep of the demo
+location family; so one row and many rows can run the same loop.
 
 Coincidence of the two optima is judged by threshold proximity
 (|accuracy threshold| < tol with a finite accuracy optimum); the payoff
@@ -50,7 +50,7 @@ import numpy as np
 
 from .equilibrium import ModelConfig, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
 from .errors import VerificationFailedError
-from .signals import BISECT_WIDTH, SignalPair, _bisect
+from .signals import BISECT_WIDTH, SignalPair, _root
 
 __all__ = [
     "SEARCH_LO",
@@ -142,27 +142,6 @@ def _payoff_at(pair: SignalPair, reward: float, cost_cdf):
     return eu_at
 
 
-def _bisect_rows(deu, a, b, active):
-    """The slope bisections of many rows in lockstep: each row in
-    ``active`` halves its bracket ``[a, b]`` by the steps of
-    ``signals._bisect`` with ``falls`` True, one level per ``deu`` call.
-    Returns the final ``(a, b, steps)``; an exact zero closes its row's
-    bracket on it."""
-    iters = np.zeros(len(a), dtype=np.intp)
-    active = active.copy()
-    while True:
-        mid = 0.5 * (a + b)
-        active &= (b - a > BISECT_WIDTH) & (mid > a) & (mid < b)
-        if not active.any():
-            return a, b, iters
-        fm = deu(mid[:, None])[:, 0]
-        iters += active
-        # an exact zero moves both ends onto mid, closing the bracket; a
-        # nan moves the right end, so every step narrows the bracket
-        a = np.where(active & (fm >= 0.0), mid, a)
-        b = np.where(active & ~(fm > 0.0), mid, b)
-
-
 def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     """The accuracy optimum of n_rows payoff curves, refined in lockstep.
 
@@ -182,20 +161,10 @@ def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
         best[rows] = np.argmax(scan(rows), axis=1)
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, n - 1)]
-    x = grid[best]
-    width = b - a
-    iters = np.zeros(n_rows, dtype=np.intp)
-    # bisect only a bracket that holds a maximum: the slope falls through 0
+    # refine only a bracket that holds a maximum: the slope falls through 0
     ends = deu(np.column_stack([a, b]))
-    bisect = (ends[:, 0] > 0.0) & (ends[:, 1] < 0.0)
-    # one row walks its bracket in Python floats, any other count (none
-    # included) in lockstep arrays
-    if n_rows != 1:
-        a, b, iters = _bisect_rows(deu, a, b, bisect)
-        x = np.where(bisect, 0.5 * (a + b), x)
-        width = np.where(bisect, b - a, width)
-    elif bisect[0]:
-        x[0], width[0], iters[0] = _bisect(lambda t: deu(t[None, :])[0], float(a[0]), float(b[0]), True)
+    t, width, iters = _root(lambda u: deu(u[:, None])[:, 0], a, b, ends[:, 0], ends[:, 1])
+    x = np.where((ends[:, 0] > 0.0) & (ends[:, 1] < 0.0), t, grid[best])
 
     ends = np.column_stack([x, np.full(n_rows, -math.inf), np.full(n_rows, math.inf)])
     values = eu_at(ends)(slice(None))
@@ -216,18 +185,19 @@ def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
 def accuracy_optimal(m: ModelConfig, lo: float = SEARCH_LO, hi: float = SEARCH_HI, n: int = SEARCH_N) -> OptResult:
     """Global maximizer of the accuracy payoff over the extended reals.
 
-    Scans the n-point grid on [lo, hi], bisects the payoff slope on the
-    two cells around the grid argmax down to a bracket of BISECT_WIDTH
-    (so a finite optimum strictly inside the window has |deu_pos| ~1e-12
-    or less; the grid point stands when the slope shows no maximum
-    there), then compares with both infinite endpoints.  Ties are broken
-    toward the finite candidate, then toward the smaller threshold (an
-    infinite threshold is a null policy; prefer an informative one).
-    ``iterations`` counts bisection steps, not slope calls: one call
-    settles up to 8 levels, so the ~37 steps from a grid cell of 0.1 down
-    to BISECT_WIDTH take 5 calls.  ``bracket_width`` is the final bracket
-    (the grid cells when no bisection ran).  Raises ValueError unless lo
-    and hi are finite with lo < hi and n >= 2.
+    Scans the n-point grid on [lo, hi], refines the root of the payoff
+    slope on the two cells around the grid argmax down to a bracket of
+    BISECT_WIDTH (so a finite optimum strictly inside the window has
+    |deu_pos| ~1e-12 or less; the grid point stands when the slope shows
+    no maximum there), then compares with both infinite endpoints.  Ties
+    are broken toward the finite candidate, then toward the smaller
+    threshold (an infinite threshold is a null policy; prefer an
+    informative one).  ``iterations`` counts the root finder's steps, one
+    slope call each, after the one call on the two bracket ends: 4 on the
+    demo model (normal(+-1, 1), cost logistic(0, 1), r = 1), where
+    bisection needs 37.  ``bracket_width`` is the final bracket (the grid
+    cells when no refinement ran).  Raises ValueError unless lo and hi
+    are finite with lo < hi and n >= 2.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
         raise ValueError(f"search window needs finite lo < hi and n >= 2, got lo={lo}, hi={hi}, n={n}")

@@ -16,13 +16,13 @@ distributions by ``c`` moves the window, and the crossing, by ``c``.  One
 pass yields the log-ratio increments and the density-difference crossings,
 each one bracket ``(a, b, falls)``: two adjacent grid points with a strict
 sign flip, or ``a == b`` at an exact zero, with the sign before it read
-from the scan.  A unique crossing is bisected from its bracket without
-re-evaluating the ends, by ``_bisect``, which the accuracy optimizer's
-one-row slope bisection shares: it evaluates the density difference on
-the midpoints of 8 levels at a time and walks them in Python floats.
-``find_crossing`` and ``normalize_pair`` read the report.  Smoothness,
-the other hypothesis of the model, is not scanned for: every catalog
-distribution is C-infinity by construction.
+from the scan.  A unique crossing is refined from its bracket by
+``_root``, the one root finder of the package (the accuracy optimizer's
+slope refinement runs it too): regula falsi with the Illinois fix,
+started from the density differences the scan already holds at the
+bracket's ends.  ``find_crossing`` and ``normalize_pair`` read the
+report.  Smoothness, the other hypothesis of the model, is not scanned
+for: every catalog distribution is C-infinity by construction.
 
 The scan is a pure function of two frozen distributions, so
 ``check_admissible`` keeps the reports of the SCAN_MEMO_SIZE (256) pairs
@@ -68,7 +68,7 @@ __all__ = [
 
 # scan window, as offsets from the pair's centre: wide enough to exercise
 # both tails of every catalog member, fine enough (step 0.012) to localize
-# density crossings for bisection
+# density crossings for the root finder
 MLRP_GRID_LO = -12.0
 MLRP_GRID_HI = 12.0
 MLRP_GRID_N = 2001
@@ -82,8 +82,8 @@ CROSSING_MATCH_TOL = 1e-10
 #: density agreement at 0 required of a normalized pair
 NORMALIZED_DENSITY_TOL = 1e-9
 
-#: a bisection stops once its bracket is this narrow: the density-crossing
-#: bisection here and the accuracy optimizer's slope bisection
+#: ``_root`` stops refining a bracket once it is this narrow: the density
+#: crossing here and the accuracy optimizer's slope root
 BISECT_WIDTH = 1e-12
 
 #: pairs whose scan reports ``check_admissible`` keeps
@@ -200,54 +200,59 @@ def _crossing_brackets(diff: np.ndarray, grid: np.ndarray):
     return [(float(grid[i]), float(grid[j]), bool(f)) for i, j, f in zip(a, b, sign[flips] > 0.0)]
 
 
-def _bisect(f, a: float, b: float, falls: bool, depth: int = 8):
-    """Halve the bracket ``[a, b]`` of a sign change of ``f``; ``falls`` is
-    whether ``f`` is positive at ``a``.  Returns ``(point, width, steps)``:
-    the final bracket's midpoint, or an exact zero of ``f``; the final
-    bracket's width; the halvings made.
+def _root(f, a, b, fa, fb):
+    """The roots of many rows in lockstep, by the Illinois method.
 
-    The steps are those of a loop that evaluates ``f`` at one midpoint
-    per level: stop once ``b - a <= BISECT_WIDTH`` or the midpoint is not
-    strictly inside the bracket, return an exact zero, move ``a`` when
-    ``(f > 0) == falls`` and ``b`` otherwise (nan included).  But ``f``,
-    which must take an array, is called once per ``depth`` levels, on the
-    2**depth - 1 midpoints of those levels in ascending order (see
-    ``_midpoints``), since numpy's per-call overhead, not arithmetic,
-    prices a cheap function on 255 points or on one; the walk down those
-    levels then runs in Python floats.  A degenerate bracket makes no
-    call.
+    Row i searches the bracket ``[a[i], b[i]]`` of a falling sign change
+    of ``f``, whose end values ``fa[i] > 0 > fb[i]`` the caller already
+    holds; a row without such ends is not searched.  ``f`` maps one point
+    per row (an array shaped like ``a``) to its values there, and is
+    called once per step, on every row.  Returns ``(point, width,
+    steps)`` arrays: the end of the final bracket where ``|f|`` is
+    smaller, or its midpoint when neither is (equal values, or a nan
+    end), so an exact zero of ``f`` when a step met one; the final
+    bracket's width, 0 at an exact zero; the steps the row took, one
+    ``f`` call each.
+
+    Each step tries the secant point of the bracket's ends (regula
+    falsi), moved to at least BISECT_WIDTH / 2 inside the bracket, and
+    the midpoint when that is not strictly inside.  A positive value
+    moves ``a`` there, a negative one or nan moves ``b``, and an exact
+    zero moves both, so every step narrows the bracket.  When the same end moves twice running, the secant halves
+    the other end's value (the Illinois fix: Dowell & Jarratt, BIT 11,
+    1971), so neither end goes stale.  A row stops once ``b - a <=
+    BISECT_WIDTH``, or once the midpoint is not strictly inside its
+    bracket; a degenerate bracket makes no call.  Every operation is
+    elementwise, so a row takes the same steps and ends on the same
+    floats alone or among any others.
     """
-    steps, lo, hi = 0, 0, 0  # [lo, hi]: the bracket as indices into the round's points
+    a, b, ya, yb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    fa, fb = ya, yb  # the secant's end values, halved while their end goes stale
+    active = (ya > 0.0) & (yb < 0.0)
+    steps = np.zeros(a.shape, dtype=np.intp)
+    side = np.zeros(a.shape)  # the end the row's last step moved: a 1, b -1, none 0
     while True:
         m = 0.5 * (a + b)
-        if not (b - a > BISECT_WIDTH and a < m < b):
-            return m, b - a, steps
-        if hi - lo < 2:  # the round's levels are walked: evaluate the next ones
-            fs = f(_midpoints(a, b, depth)).tolist()
-            lo, hi = 0, 2**depth
-        mid = (lo + hi) // 2
-        fm = fs[mid - 1]
-        steps += 1
-        if fm == 0.0:
-            return m, 0.0, steps
-        if (fm > 0.0) == falls:
-            a, lo = m, mid
-        else:
-            b, hi = m, mid
-
-
-def _midpoints(a: float, b: float, depth: int) -> np.ndarray:
-    """The midpoints of the first ``depth`` levels of ``[a, b]``'s bisection
-    tree, in ascending order: one strided pass per level, each point the
-    ``0.5 * (lo + hi)`` of its own bracket, so these are the floats a
-    one-level loop meets on any path down the tree."""
-    size = 2**depth
-    points = np.empty(size + 1)
-    points[0], points[size] = a, b
-    for level in range(depth):
-        s = size >> level
-        points[s // 2 :: s] = 0.5 * (points[:-1:s] + points[s::s])
-    return points[1:-1]
+        active &= (b - a > BISECT_WIDTH) & (a < m) & (m < b)
+        if not active.any():
+            ya, yb = np.abs(ya), np.abs(yb)
+            return np.where(ya < yb, a, np.where(yb < ya, b, m)), b - a, steps
+        # a row that stopped may hold equal or non-finite ends
+        with np.errstate(all="ignore"):
+            x = a + (b - a) * (fa / (fa - fb))
+        # at least half a stopping width inside: an end on the root then
+        # closes the bracket in one more step
+        x = np.clip(x, a + 0.5 * BISECT_WIDTH, b - 0.5 * BISECT_WIDTH)
+        x = np.where((a < x) & (x < b), x, m)
+        fx = f(x)
+        steps += active
+        up = active & (fx >= 0.0)
+        down = active & ~(fx > 0.0)
+        fa = np.where(up, fx, np.where(down & (side < 0.0), 0.5 * fa, fa))
+        fb = np.where(down, fx, np.where(up & (side > 0.0), 0.5 * fb, fb))
+        a, ya = np.where(up, x, a), np.where(up, fx, ya)
+        b, yb = np.where(down, x, b), np.where(down, fx, yb)
+        side = np.where(active, np.where(fx > 0.0, 1.0, -1.0), side)
 
 
 def _scan(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
@@ -262,7 +267,10 @@ def _scan(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport
     brackets = _crossing_brackets(diff, grid)
     location = None
     if len(brackets) == 1:
-        t = _bisect(lambda u: g0.pdf(u) - g1.pdf(u), *brackets[0])[0]
+        a, b, falls = brackets[0]
+        s = 1.0 if falls else -1.0  # orient the difference to fall through 0
+        fa, fb = s * diff[np.searchsorted(grid, [a, b])]
+        t = float(_root(lambda u: s * (g0.pdf(u) - g1.pdf(u)), [a], [b], [fa], [fb])[0][0])
         p0, p1 = g0.pdf(t), g1.pdf(t)
         if min(p0, p1) > PDF_FLOOR and abs(p0 - p1) <= CROSSING_MATCH_TOL:
             location = t
@@ -313,14 +321,14 @@ def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> Admissib
 
     The ratio is strictly increasing iff every consecutive increment of
     ``log_pdf1 - log_pdf0`` on the grid exceeds MLRP_STRICT_TOL.  The
-    report also carries the density-crossing count, the bisection-refined
-    crossing location when it is unique, the window as ``(lo, hi, n)``,
+    report also carries the density-crossing count, the refined crossing
+    location when it is unique, the window as ``(lo, hi, n)``,
     and ``support_ok``: both log-densities finite over the whole window.
 
     A unique crossing is left unlocated (``crossing_location`` None) where
     either density sits on PDF_FLOOR, since there the floor, not the
     densities, made ``pdf0 - pdf1`` vanish (e.g. the run of exact zeros
-    between two well-separated signals), and where the bisection stopped
+    between two well-separated signals), and where the refinement stopped
     at the float spacing before the densities matched within
     CROSSING_MATCH_TOL.
 

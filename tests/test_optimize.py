@@ -85,10 +85,10 @@ def test_accuracy_worked_example(std_model):
     assert res.value >= v_brute - 1e-12
 
 
-def test_accuracy_slope_calls_per_bisection(std_model, monkeypatch):
-    """The docstring's count: the 37 bisection steps from a grid cell of 0.1
-    down to BISECT_WIDTH take 5 slope calls of 255 points, after one call
-    on the two bracket ends."""
+def test_accuracy_slope_calls_per_step(std_model, monkeypatch):
+    """The docstring's count: on the demo model the root finder takes 4
+    steps, one slope call each, after one call on the two bracket ends
+    (bisection needs 37 halvings from a grid cell of 0.1)."""
     shapes = []
 
     def counted(m, t):
@@ -97,8 +97,25 @@ def test_accuracy_slope_calls_per_bisection(std_model, monkeypatch):
 
     monkeypatch.setattr("threshold_lab.optimize.deu_pos", counted)
     res = accuracy_optimal(std_model)
-    assert res.iterations == 37
-    assert shapes == [(1, 2)] + [(1, 255)] * 5
+    assert res.iterations == 4
+    assert shapes == [(1, 2)] + [(1, 1)] * 4
+
+
+def test_accuracy_thresholds_slope_calls(std_pair, monkeypatch):
+    """The module docstring's bound: on a 2000-sample sweep of the demo
+    location family no row takes more than 8 steps, so the rows' roots
+    take at most 9 slope calls, the first on the bracket ends."""
+    fam = location_family(logistic(0, 1), ParameterBox((-3.0,), (3.0,)))
+    xs = np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 1))
+    calls = []
+
+    def counted(m, t):
+        calls.append(np.shape(t))
+        return deu_pos(m, t)
+
+    monkeypatch.setattr("threshold_lab.optimize.deu_pos", counted)
+    accuracy_thresholds(ModelConfig(std_pair, fam.at(xs), 1.0))
+    assert calls[0] == (2000, 2) and 1 < len(calls) <= 9
 
 
 def test_accuracy_thresholds_scan_signal_terms_once(std_pair, monkeypatch):
@@ -254,7 +271,7 @@ def test_interior_optimum_is_stationary(std_pair, kind, scale, x, reward):
 
 
 # ---------------------------------------------------------------------------
-# the slope bisections against the one-level-per-call loop
+# the refiner against the one-level-per-call bisection loop
 
 
 def _sequential_refine(eu, deu, n_rows, lo, hi, n):
@@ -343,10 +360,14 @@ def _synthetic_rows(n_rows, lo, hi, n, seed):
     ],
 )
 def test_lookahead_bisection_matches_sequential(n_rows, lo, hi, n):
-    """``_refine`` returns what the one-level-per-call loop returns, bit
-    for bit, for every row kind: one row looks 8 levels ahead per slope
-    call (255 points), many rows take one level per call."""
-    step_shape = (n_rows, 255 if n_rows == 1 else 1)
+    """``_refine`` agrees with the bisection loop on every row kind: the
+    same rows refined and the same endpoint wins, payoffs of the same
+    threshold, and thresholds within BISECT_WIDTH of each other, or one
+    float spacing where the spacing is wider.  Rows with nan left of the
+    optimum are left out of that last check: their nan stretch is a
+    second place where a bracket can close, and the two methods need not
+    close on the same one.  Each slope call takes one point per row,
+    after one call on the two bracket ends."""
     for seed in range(4):
         eu, deu = _synthetic_rows(n_rows, lo, hi, n, seed)
         want = _sequential_refine(eu, deu, n_rows, lo, hi, n)
@@ -356,8 +377,16 @@ def test_lookahead_bisection_matches_sequential(n_rows, lo, hi, n):
             shapes.append(t.shape)
             return deu(t)
 
-        got = _refine(lambda t: functools.partial(eu, t), recorded, n_rows, lo, hi, n)
-        for name, w, g in zip(("x", "value", "iters", "width", "boundary"), want, got):
-            assert w.dtype == g.dtype and w.tobytes() == g.tobytes(), (name, seed)
-        # the two bracket ends share one call, then one call per round
-        assert shapes[0] == (n_rows, 2) and set(shapes[1:]) <= {step_shape}, (shapes, seed)
+        x, value, iters, width, boundary = _refine(lambda t: functools.partial(eu, t), recorded, n_rows, lo, hi, n)
+        assert boundary.tobytes() == want[4].tobytes(), seed
+        assert ((iters > 0) == (want[2] > 0)).all(), seed
+        refined = iters > 0
+        assert (width[refined] <= np.maximum(BISECT_WIDTH, np.abs(np.spacing(x[refined])))).all(), seed
+        assert (width[~refined] == want[3][~refined]).all(), seed
+        assert np.array_equal(value, eu(x[:, None], slice(None))[:, 0]), seed
+        finite = np.isfinite(x)
+        assert np.array_equal(finite, np.isfinite(want[0])), seed
+        same = finite & (np.arange(n_rows) % 8 != NAN_LEFT)
+        gap = np.abs(x[same] - want[0][same])
+        assert (gap <= np.maximum(BISECT_WIDTH, np.abs(np.spacing(want[0][same])))).all(), (seed, gap.max())
+        assert shapes[0] == (n_rows, 2) and set(shapes[1:]) <= {(n_rows, 1)}, (shapes, seed)
