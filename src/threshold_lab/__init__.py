@@ -36,7 +36,6 @@ from .errors import (
     NoCrossingError,
     OutOfBoxError,
     ThresholdLabError,
-    VerificationFailedError,
 )
 from .families import (
     CostFamily,
@@ -133,6 +132,5 @@ __all__ = [
     "NoCrossingError",
     "OutOfBoxError",
     "DegenerateWeightsError",
-    "VerificationFailedError",
     "ConfigError",
 ]

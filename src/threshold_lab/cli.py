@@ -19,8 +19,8 @@ Subcommands:
                      ``fractions.dat``) under ``<out>/demo-<UTC stamp>/``
 
 ``optimize`` and ``sweep`` require reward > 0.  Exit codes: 0 success, 1
-configuration or usage error or an output that cannot be written, 2
-numeric guardrail failure.
+configuration or usage error, a signal pair that is not admissible, or an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import __version__
 from .config import RunConfig, load_config, load_config_dict
 from .equilibrium import ModelConfig
 from .equilibrium import eu_pos  # noqa: F401  (not called here; perfbench/tracer.py wraps this name)
-from .errors import ConfigError, ThresholdLabError, VerificationFailedError
+from .errors import ConfigError, ThresholdLabError
 from .families import certify
 from .genericity import SweepSpec, coincidence_fraction, scaling_report
 from .optimize import accuracy_optimal, compliance_optimal, equivalence_verdict
@@ -358,9 +358,6 @@ def run_cli(argv=None) -> int:
         if str(err):
             print(str(err), file=sys.stderr)
         return err.code
-    except VerificationFailedError as err:
-        print(f"numeric guardrail failure: {err}", file=sys.stderr)
-        return 2
     except (ThresholdLabError, OSError) as err:
         # an OSError here is an output that cannot be written; config
         # reads already raise ConfigError

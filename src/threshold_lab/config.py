@@ -6,7 +6,7 @@ One schema serves every command; commands pick the parts they need.
       "signal_pair": {
         "g0": {"kind": "normal", "params": [-1, 1]},
         "g1": {"kind": "normal", "params": [1, 1]},
-        "auto_normalize": true
+        "auto_normalize": true           // false: the pair as given, admissible and crossing at 0
       },
       "cost": {"kind": "logistic", "params": [0, 1]},
       "cost_family": {

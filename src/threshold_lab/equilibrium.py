@@ -70,12 +70,13 @@ __all__ = [
 class ModelConfig:
     """A complete model instance: normalized pair, cost CDF, reward.
 
-    The pair is normalized by construction (see ``SignalPair``); the only
-    check made here is that the reward is finite (ValueError).  The cost
-    is one distribution, or the members of a cost family at many parameter
-    rows (``CostFamily.at``), which the model functions evaluate as one
-    cost: ``eu_pos``, ``deu_pos`` and ``foc_at_zero`` then give one value
-    per row, with the float operations of each row's own model.
+    The pair is admissible and normalized by construction (see
+    ``SignalPair``); the only check made here is that the reward is
+    finite (ValueError).  The cost is one distribution, or the members of
+    a cost family at many parameter rows (``CostFamily.at``), which the
+    model functions evaluate as one cost: ``eu_pos``, ``deu_pos`` and
+    ``foc_at_zero`` then give one value per row, with the float
+    operations of each row's own model.
     """
 
     pair: SignalPair

@@ -1,15 +1,14 @@
 """Semantic exception hierarchy for threshold_lab.
 
 Domain failures (bad configs and distributions, inadmissible pairs,
-out-of-box parameters, numeric guardrails) derive from ThresholdLabError,
-so callers (and the CLI exit-code mapping) can tell validation problems
-from numeric guardrail failures.  Argument checks of library calls raise
-a bare ValueError instead: ``compliance_optimal`` (reward <= 0),
-``accuracy_optimal`` (search window), ``SweepOptions`` (sample count,
-tolerance ladder, seed and mode; each message starts with the field
-name), ``SweepSpec`` (reward <= 0, and its sweep settings through
-``SweepOptions``), ``ModelConfig``, ``equivalence_verdict``,
-``fit_loglog_slope`` and ``scaling_report`` (``n_resamples``).
+out-of-box parameters) derive from ThresholdLabError, which the CLI maps
+to exit code 1.  Argument checks of library calls raise a bare ValueError
+instead: ``compliance_optimal`` (reward <= 0), ``accuracy_optimal``
+(search window), ``SweepOptions`` (sample count, tolerance ladder, seed
+and mode; each message starts with the field name), ``SweepSpec``
+(reward <= 0, and its sweep settings through ``SweepOptions``),
+``ModelConfig``, ``equivalence_verdict``, ``fit_loglog_slope`` and
+``scaling_report`` (``n_resamples``).
 The config loader runs the ``SweepOptions`` check itself and raises its
 message as a ConfigError under ``config.sweep.``; the CLI checks the other
 config values that reach those calls first, so a bad config value exits 1
@@ -39,10 +38,6 @@ class OutOfBoxError(ThresholdLabError, ValueError):
 
 class DegenerateWeightsError(DistributionError):
     """A mixture weight implied by the parameter vector is not positive."""
-
-
-class VerificationFailedError(ThresholdLabError):
-    """A numeric guardrail contradicted a closed-form result."""
 
 
 class ConfigError(ThresholdLabError, ValueError):

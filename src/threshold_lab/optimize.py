@@ -1,10 +1,15 @@
 """Compliance-optimal and accuracy-optimal thresholds, and their coincidence.
 
 The compliance-optimal threshold of a normalized admissible pair is 0 in
-closed form (the signal gap cdf0 - cdf1 peaks where the densities cross,
-and the cost CDF is increasing); ``compliance_optimal`` returns it and
-runs a numeric guardrail over the search grid that fails loudly if any
-grid point beats it, which would indicate a broken normalization upstream.
+closed form.  The signal gap's slope is gap'(t) = g0(t) - g1(t), and
+under a strictly increasing likelihood ratio with one density crossing,
+at 0, it is positive for t < 0 and negative for t > 0; so the gap peaks
+at 0, and the positive rule's prevalence F(r * gap(t)), F increasing,
+peaks there too (Karlin & Rubin 1956; Karlin, *Total Positivity*, 1968).
+For r > 0 the negative rule does no better: its prevalence is at most
+F(0), which is at most the positive rule's prevalence at 0.  Every
+``SignalPair`` is admissible and normalized by construction, so
+``compliance_optimal`` returns the closed form and checks nothing.
 
 The accuracy payoff carries no concavity guarantee, so the accuracy
 optimum is found by one refiner: a dense grid scan over the search
@@ -49,14 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import ModelConfig, _eu_from_terms, _eu_signal_terms, deu_pos, foc_at_zero, prevalence_pos
-from .errors import VerificationFailedError
 from .signals import BISECT_WIDTH, SignalPair, _root
 
 __all__ = [
     "SEARCH_LO",
     "SEARCH_HI",
     "SEARCH_N",
-    "GUARDRAIL_SLACK",
     "BISECT_WIDTH",
     "OptResult",
     "EquivalenceVerdict",
@@ -73,7 +76,6 @@ SEARCH_LO = -10.0
 SEARCH_HI = 10.0
 SEARCH_N = 401
 
-GUARDRAIL_SLACK = 1e-9
 #: rows per block of the grid scan: each temporary is 32 x SEARCH_N floats
 #: (~100 kB), which keeps peak memory flat in the sample count and is no
 #: slower than larger blocks
@@ -103,30 +105,21 @@ class EquivalenceVerdict:
     tolerance: float
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def compliance_optimal(m: ModelConfig) -> OptResult:
-    """Threshold 0 by closed form, cross-checked on the SEARCH_N-point
-    grid over [SEARCH_LO, SEARCH_HI].
+    """Threshold 0 by closed form, with the prevalence pi_pos(0) there.
 
-    Requires r > 0 (for negative rewards the roles of the rules flip and
-    the closed form does not apply).  Raises VerificationFailedError if
-    any grid point or infinite endpoint beats prevalence at 0 by more
-    than GUARDRAIL_SLACK.
+    The pair is admissible and crosses at 0 (``SignalPair`` refuses any
+    other), so gap'(t) = g0(t) - g1(t) is positive for t < 0 and negative
+    for t > 0: the gap peaks at 0, and so does pi_pos(t) = F(r * gap(t))
+    for r > 0 and F increasing.  The negative rule cannot beat it:
+    pi_neg(t) = F(-r * gap(t)) <= F(0) <= pi_pos(0).  Requires r > 0 (for
+    negative rewards the roles of the rules flip and the closed form does
+    not apply).
     """
     if m.reward <= 0.0:
         raise ValueError("compliance_optimal requires reward > 0")
-    values = prevalence_pos(m, np.concatenate([[0.0], _grid(SEARCH_LO, SEARCH_HI, SEARCH_N), [-math.inf, math.inf]]))
-    at_zero = float(values[0])
-    best = float(np.max(values[1:]))
-    if best > at_zero + GUARDRAIL_SLACK:
-        raise VerificationFailedError(
-            f"prevalence {best!r} on the grid exceeds prevalence {at_zero!r} at 0; "
-            "the pair normalization looks broken"
-        )
-    return OptResult(threshold=0.0, value=at_zero, method="closed_form", iterations=0, bracket_width=0.0)
+    value = float(prevalence_pos(m, 0.0))
+    return OptResult(threshold=0.0, value=value, method="closed_form", iterations=0, bracket_width=0.0)
 
 
 def _payoff_at(pair: SignalPair, reward: float, cost_cdf):
@@ -153,7 +146,7 @@ def _refine(eu_at, deu, n_rows: int, lo: float, hi: float, n: int):
     Returns per-row arrays (threshold, value, iterations, bracket width,
     boundary flag).
     """
-    grid = _grid(lo, hi, n)
+    grid = np.linspace(lo, hi, n)
     scan = eu_at(grid[None, :])
     best = np.empty(n_rows, dtype=np.intp)
     for start in range(0, n_rows, _GRID_BLOCK):

@@ -24,14 +24,20 @@ bracket's ends.  ``find_crossing`` and ``normalize_pair`` read the
 report.  Smoothness, the other hypothesis of the model, is not scanned
 for: every catalog distribution is C-infinity by construction.
 
+A ``SignalPair`` is admissible by construction: it runs the scan on its
+own two distributions and refuses them as ``normalize_pair`` refuses a
+raw pair, so the model code that takes one checks nothing further.
+
 The scan is a pure function of two frozen distributions, so
 ``check_admissible`` keeps the reports of the SCAN_MEMO_SIZE (256) pairs
 it was most recently asked about, least recently used dropped first: a
-pair is scanned once per process however many commands ask about it.  The memo is keyed
-bit for bit, on the type and exact value (``float.hex``) of every
-parameter and weight, so pairs that are only ``==`` (``-0.0`` and
+pair is scanned once per process however many commands ask about it, and
+so is the normalized image ``normalize_pair`` builds from it.  The memo
+is keyed bit for bit, on the type and exact value (``float.hex``) of
+every parameter and weight, so pairs that are only ``==`` (``-0.0`` and
 ``0.0``, ``0`` and ``0.0``) never share an entry.  A translated pair is a
-new key and is scanned again, although its verdict is the same.
+new key and is scanned again, although its verdict is the same; a pair
+whose crossing is exactly 0 is its own image, one key.
 ``check_admissible.cache_info()`` counts hits and misses and
 ``check_admissible.cache_clear()`` empties the memo.
 
@@ -137,14 +143,16 @@ class AdmissibilityReport:
 
 @dataclass(frozen=True)
 class SignalPair:
-    """A signal pair normalized so its densities cross at 0.
+    """An admissible signal pair normalized so its densities cross at 0.
 
-    Every instance is normalized: construction raises AdmissibilityError
-    unless ``pdf0(0)`` and ``pdf1(0)`` agree within NORMALIZED_DENSITY_TOL
-    above the pdf floor, so the model code that takes a pair checks it no
-    further.  Build one with ``normalize_pair``, or directly from a pair
-    that already crosses at 0.  ``shift`` records the translation applied
-    so the density crossing moved to 0 (the original crossing location).
+    Every instance is admissible and normalized: construction raises
+    AdmissibilityError, with ``normalize_pair``'s message, unless the
+    admissibility scan (``check_admissible``, memoized) passes the pair,
+    and then unless ``pdf0(0)`` and ``pdf1(0)`` agree within
+    NORMALIZED_DENSITY_TOL above the pdf floor.  So the model code that
+    takes a pair checks it no further.  Build one with ``normalize_pair``.
+    ``shift`` records the translation applied so the density crossing
+    moved to 0 (the original crossing location).
     """
 
     g0: ScalarDistribution
@@ -152,6 +160,7 @@ class SignalPair:
     shift: float = 0.0
 
     def __post_init__(self):
+        _admissible_crossing(check_admissible(self.g0, self.g1))
         p0, p1 = self.g0.pdf(0.0), self.g1.pdf(0.0)
         if abs(p0 - p1) > NORMALIZED_DENSITY_TOL or min(p0, p1) <= PDF_FLOOR:
             raise AdmissibilityError(
@@ -361,6 +370,17 @@ def _unique_crossing(report: AdmissibilityReport) -> float:
     return report.crossing_location
 
 
+def _admissible_crossing(report: AdmissibilityReport) -> float:
+    """The crossing of an admissible report; the refusal ``normalize_pair``
+    and ``SignalPair`` give any other."""
+    if not (report.mlrp_ok and report.support_ok):
+        raise AdmissibilityError(
+            f"pair not admissible: strictly increasing likelihood ratio {report.mlrp_ok} "
+            f"(min slope {report.min_ratio_slope:.3e}), finite log-densities {report.support_ok}"
+        )
+    return _unique_crossing(report)
+
+
 def find_crossing(g0: ScalarDistribution, g1: ScalarDistribution) -> float:
     """Locate t* with pdf0(t*) == pdf1(t*) from the admissibility scan.
 
@@ -378,16 +398,10 @@ def normalize_pair(g0: ScalarDistribution, g1: ScalarDistribution) -> SignalPair
 
     Succeeds exactly when ``check_admissible`` says the pair is
     admissible, and takes the crossing from that scan, so a caller that
-    scanned the pair first finds it in the memo.  The scan is translation
-    invariant (its window follows the pair), so the translated pair is
-    not scanned again.  Idempotent: normalizing a normalized pair records
-    shift 0.
+    scanned the pair first finds it in the memo.  The translated pair is
+    a new memo key, and ``SignalPair`` scans it once; the scan is
+    translation invariant (its window follows the pair), so it passes.
+    Idempotent: normalizing a normalized pair records shift 0.
     """
-    report = check_admissible(g0, g1)
-    if not (report.mlrp_ok and report.support_ok):
-        raise AdmissibilityError(
-            f"cannot normalize: strictly increasing likelihood ratio {report.mlrp_ok} "
-            f"(min slope {report.min_ratio_slope:.3e}), finite log-densities {report.support_ok}"
-        )
-    t_star = _unique_crossing(report)
+    t_star = _admissible_crossing(check_admissible(g0, g1))
     return SignalPair(g0=g0.shifted(-t_star), g1=g1.shifted(-t_star), shift=t_star)

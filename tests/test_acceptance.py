@@ -62,6 +62,7 @@ from threshold_lab import (
 )
 from threshold_lab.cli import main as cli_main
 from threshold_lab.genericity import VERDICT_CONSISTENT, VERDICT_INCONSISTENT
+from threshold_lab.optimize import SEARCH_HI, SEARCH_LO, SEARCH_N
 
 
 def verdict(criterion, name, ok, detail=""):
@@ -75,19 +76,26 @@ GAP_GRID = np.linspace(-8.0, 8.0, 321)
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: compliance optimum is 0 across the suite, guardrail quiet
+# criterion 1: compliance optimum is 0 across the suite, no grid point beats it
 
 
 def test_criterion_1_compliance_optimum(suite_pairs, suite_models):
     assert len(suite_pairs) == 20
     assert len(suite_models) == 20 * 5 * len(SUITE_REWARDS)
+    elsewhere = np.concatenate([np.linspace(SEARCH_LO, SEARCH_HI, SEARCH_N), [-math.inf, math.inf]])
     start = time.perf_counter()
+    worst = -math.inf
     for label, model, _ in suite_models:
-        res = compliance_optimal(model)  # raises VerificationFailedError on any grid win
+        res = compliance_optimal(model)
         assert res.threshold == 0.0, label
         assert res.method == "closed_form"
+        at_zero = prevalence_pos(model, 0.0)
+        assert res.value == at_zero, label
+        excess = float(np.max(prevalence_pos(model, elsewhere))) - at_zero
+        assert excess <= 0.0, (label, excess)  # exact: no slack
+        worst = max(worst, excess)
     elapsed = time.perf_counter() - start
-    verdict(1, "compliance optimum", elapsed < 10.0, f"300 models in {elapsed:.2f}s, all at t=0")
+    verdict(1, "compliance optimum", elapsed < 10.0, f"300 models in {elapsed:.2f}s, all at t=0, largest excess {worst!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,11 @@ def test_optimize_computes_each_optimum_once(model_config, monkeypatch, capsys):
     assert sorted(calls) == ["accuracy_optimal", "compliance_optimal"]
 
 
-def test_optimize_guardrail_exit_2(tmp_path, capsys):
-    """auto_normalize=false lets a non-admissible pair with matched central
-    densities through to the compliance guardrail, which must exit 2."""
+def test_optimize_inadmissible_unnormalized_pair_exits_1(tmp_path, capsys):
+    """auto_normalize=false uses the pair as given, and a SignalPair must
+    be admissible: a bimodal mixture against a wide normal, whose
+    densities agree at 0 but whose ratio is not monotone, exits 1 with an
+    ``error:`` line."""
     scale = 3.2974425414002564  # wide normal matching the bimodal mixture at 0
     cfg = {
         "signal_pair": {
@@ -333,8 +335,10 @@ def test_optimize_guardrail_exit_2(tmp_path, capsys):
     }
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(cfg))
-    assert main(["optimize", "--config", str(path)]) == 2
-    assert "guardrail" in capsys.readouterr().err
+    assert main(["optimize", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "strictly increasing likelihood ratio False" in captured.err
 
 
 def test_sweep_outputs_and_reproducibility(sweep_config, tmp_path, capsys):
@@ -480,12 +484,15 @@ def test_check_and_demo_scan_the_pair_once(tmp_path, capsys, monkeypatch):
 def test_repeated_commands_read_the_scan_memo(model_config, tmp_path, capsys):
     """``check``, ``optimize`` and ``equilibrium`` run twice each on one
     config scan its pair once, and the warm runs write the cold runs'
-    bytes."""
+    bytes.  The normal(+-1, 1) pair crosses at exactly 0, so its
+    normalized image is the same memo key: each ``SignalPair`` the
+    commands build reads the scan from the memo, which adds hits but no
+    miss."""
     for run in ("cold", "warm"):
         for command in ("check", "optimize", "equilibrium"):
             assert main([command, "--config", str(model_config), "--out", str(tmp_path / run / command)]) == 0
     info = threshold_lab.check_admissible.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
+    assert (info.misses, info.hits) == (1, 9)
     written = {run: sorted(p.relative_to(tmp_path / run) for p in (tmp_path / run).rglob("*") if p.is_file())
                for run in ("cold", "warm")}
     assert written["warm"] == written["cold"] and len(written["cold"]) == 4  # check, optimize, equilibrium x2

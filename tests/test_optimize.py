@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DELTA0, FOC0
+from conftest import DELTA0, FOC0, SUITE_REWARDS, suite_cost_specs, suite_pair_specs
 from threshold_lab import (
+    AdmissibilityError,
     ModelConfig,
     ParameterBox,
     SignalPair,
-    VerificationFailedError,
     accuracy_optimal,
     accuracy_thresholds,
     compliance_optimal,
@@ -26,6 +26,7 @@ from threshold_lab import (
     logistic,
     mixture,
     normal,
+    normalize_pair,
     prevalence_pos,
 )
 from threshold_lab.optimize import BISECT_WIDTH, SEARCH_HI, SEARCH_LO, SEARCH_N, _refine
@@ -57,21 +58,46 @@ def test_compliance_requires_positive_reward(std_pair):
 def _non_monotone_pair():
     """Densities match at 0 but the likelihood ratio is not monotone.
 
-    A bimodal mixture against a wide normal: passes the normalized-pair
-    density check yet its signal gap is not maximized at 0, so the
-    compliance guardrail must object.
+    A bimodal mixture against a wide normal: the densities agree at 0,
+    yet the signal gap is not maximized there.
     """
     g0 = mixture([(0.5, normal(-2, 2)), (0.5, normal(2, 2))])
     scale = 0.3989422804014327 / g0.pdf(0.0)  # phi(0)/scale == g0.pdf(0)
     g1 = normal(0.0, scale)
-    return SignalPair(g0=g0, g1=g1, shift=0.0)
+    return g0, g1
 
 
-def test_compliance_guardrail_fires_on_broken_pair():
-    pair = _non_monotone_pair()
-    m = ModelConfig(pair=pair, cost=logistic(0, 1), reward=1.0)
-    with pytest.raises(VerificationFailedError):
-        compliance_optimal(m)
+def test_signal_pair_refuses_non_monotone_ratio():
+    """A pair whose densities agree at 0 but whose ratio is not monotone
+    is no SignalPair, so no model reaches ``compliance_optimal`` with it."""
+    g0, g1 = _non_monotone_pair()
+    assert abs(g0.pdf(0.0) - g1.pdf(0.0)) < 1e-15
+    with pytest.raises(AdmissibilityError, match="strictly increasing likelihood ratio False"):
+        SignalPair(g0=g0, g1=g1, shift=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(0, len(suite_pair_specs()) - 1),
+    a=st.floats(-1e3, 1e3),
+    s=st.floats(1e-2, 1e2),
+    cost=st.integers(0, len(suite_cost_specs()) - 1),
+    reward=st.sampled_from(SUITE_REWARDS),
+)
+def test_compliance_optimum_on_affine_images(index, a, s, cost, reward):
+    """On the normalized affine image a + s * (g0, g1) of a suite pair, with
+    a suite cost and reward, no point of the search grid scaled by s and
+    neither infinite end beats prevalence at 0, exactly."""
+    _, g0, g1 = suite_pair_specs()[index]
+    try:
+        pair = normalize_pair(g0.affine(a, s), g1.affine(a, s))
+    except AdmissibilityError:
+        return  # an image the scan refuses builds no model
+    m = ModelConfig(pair=pair, cost=suite_cost_specs()[cost][1], reward=reward)
+    at_zero = prevalence_pos(m, 0.0)
+    elsewhere = prevalence_pos(m, np.concatenate([s * np.linspace(SEARCH_LO, SEARCH_HI, SEARCH_N), [-INF, INF]]))
+    assert np.max(elsewhere) <= at_zero
+    assert compliance_optimal(m).value == at_zero
 
 
 def test_accuracy_worked_example(std_model):

@@ -157,6 +157,26 @@ def test_signalpair_validates_normalized_flag():
         SignalPair(g0=pair.g0.shifted(1.0), g1=pair.g1.shifted(1.0), shift=pair.shift)
 
 
+@pytest.mark.parametrize(
+    "g0, g1, words",
+    [
+        (normal(0, 1), normal(0, 4), "strictly increasing likelihood ratio False"),
+        (normal(-1, 0.1), gumbel(0, 12.5 / 709.9), "finite log-densities False"),
+        (normal(-40, 1), normal(40, 1), "pdf floor"),
+        (normal(1e5, 0.05), normal(1e5 + 0.015, 0.05), "crossing refinement stalled"),
+    ],
+    ids=["ratio", "support", "pdf-floor", "stalled"],
+)
+def test_signalpair_refuses_as_normalize_pair(g0, g1, words):
+    """A pair the scan does not pass is no SignalPair, and construction
+    refuses it with normalize_pair's message, word for word."""
+    with pytest.raises(AdmissibilityError, match=words) as raw:
+        normalize_pair(g0, g1)
+    with pytest.raises(AdmissibilityError) as built:
+        SignalPair(g0=g0, g1=g1)
+    assert str(built.value) == str(raw.value)
+
+
 def test_mlrp_grid_shape_in_report():
     report = check_admissible(normal(-1, 1), normal(1, 1))
     assert report.grid == (-12.0, 12.0, 2001)
@@ -217,9 +237,9 @@ def test_admissible_iff_normalizable(index, a, s):
 @settings(max_examples=10, deadline=None)
 @given(c=st.floats(-1e3, 1e3))
 def test_normalized_pair_keeps_monotone_ratio(index, c):
-    """normalize_pair does not scan the translated pair again: the pair it
-    returns, from any catalog pair moved by up to +-1e3, passes the
-    monotone-ratio check of the scan on its own window."""
+    """The pair normalize_pair returns, from any catalog pair moved by up
+    to +-1e3, passes the monotone-ratio check of the scan on its own
+    window, the check ``SignalPair`` runs when normalize_pair builds it."""
     _, g0, g1 = suite_pair_specs()[index]
     pair = normalize_pair(g0.shifted(c), g1.shifted(c))
     assert check_admissible(pair.g0, pair.g1).mlrp_ok
