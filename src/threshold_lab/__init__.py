@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .distributions import (
     ScalarDistribution,
-    derivative_consistency,
     gumbel,
     logistic,
     make_distribution,
@@ -20,13 +19,11 @@ from .distributions import (
 )
 from .equilibrium import (
     ModelConfig,
-    PrevalenceReport,
     deu_pos,
     eu_pos,
     foc_at_zero,
     prevalence_neg,
     prevalence_pos,
-    prevalence_report,
 )
 from .errors import (
     AdmissibilityError,
@@ -83,7 +80,6 @@ __all__ = [
     "logistic",
     "gumbel",
     "mixture",
-    "derivative_consistency",
     # signals
     "SignalPair",
     "AdmissibilityReport",
@@ -102,10 +98,8 @@ __all__ = [
     "certify",
     # equilibrium
     "ModelConfig",
-    "PrevalenceReport",
     "prevalence_pos",
     "prevalence_neg",
-    "prevalence_report",
     "eu_pos",
     "deu_pos",
     "foc_at_zero",

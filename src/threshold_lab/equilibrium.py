@@ -56,10 +56,8 @@ from .signals import SignalPair
 
 __all__ = [
     "ModelConfig",
-    "PrevalenceReport",
     "prevalence_pos",
     "prevalence_neg",
-    "prevalence_report",
     "eu_pos",
     "deu_pos",
     "foc_at_zero",
@@ -88,16 +86,6 @@ class ModelConfig:
             raise ValueError(f"reward must be finite, got {self.reward}")
 
 
-@dataclass(frozen=True)
-class PrevalenceReport:
-    """Prevalence under both rules at one threshold."""
-
-    t: float
-    pi_pos: float
-    pi_neg: float
-    gap: float
-
-
 def prevalence_pos(m: ModelConfig, t):
     """Equilibrium compliance under a positive rule with threshold t."""
     return m.cost.cdf(m.reward * m.pair.gap(t))
@@ -106,12 +94,6 @@ def prevalence_pos(m: ModelConfig, t):
 def prevalence_neg(m: ModelConfig, t):
     """Equilibrium compliance under a negative rule with threshold t."""
     return m.cost.cdf(-m.reward * m.pair.gap(t))
-
-
-def prevalence_report(m: ModelConfig, t: float) -> PrevalenceReport:
-    pp = prevalence_pos(m, t)
-    pn = prevalence_neg(m, t)
-    return PrevalenceReport(t=float(t), pi_pos=pp, pi_neg=pn, gap=pp - pn)
 
 
 def eu_pos(m: ModelConfig, t):

@@ -5,10 +5,10 @@ out-of-box parameters) derive from ThresholdLabError, which the CLI maps
 to exit code 1.  Argument checks of library calls raise a bare ValueError
 instead: ``compliance_optimal`` (reward <= 0), ``accuracy_optimal``
 (search window), ``SweepOptions`` (sample count, tolerance ladder, seed
-and mode; each message starts with the field name), ``SweepSpec``
+and mode) and ``scaling_report`` (``n_resamples``, with the same count
+check), each message starting with the field name, ``SweepSpec``
 (reward <= 0, and its sweep settings through ``SweepOptions``),
-``ModelConfig``, ``equivalence_verdict``, ``fit_loglog_slope`` and
-``scaling_report`` (``n_resamples``).
+``ModelConfig``, ``equivalence_verdict`` and ``fit_loglog_slope``.
 The config loader runs the ``SweepOptions`` check itself and raises its
 message as a ConfigError under ``config.sweep.``; the CLI checks the other
 config values that reach those calls first, so a bad config value exits 1

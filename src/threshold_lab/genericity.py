@@ -306,10 +306,7 @@ def scaling_report(result: SweepResult, n_resamples: int = 200) -> ScalingReport
     the same pattern of positive rungs are refitted with one ``lstsq``
     (see ``_fit_slopes``).
     """
-    if isinstance(n_resamples, bool) or not isinstance(n_resamples, numbers.Integral):
-        raise ValueError(f"n_resamples must be an integer, got {n_resamples!r}")
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    n_resamples = _check_count(n_resamples, "n_resamples", 1)
     rng = np.random.default_rng((result.seed, _BOOTSTRAP_SALT))
     n = result.n_samples
     n_tols = len(result.tolerances)

@@ -303,26 +303,12 @@ def _exact_key(d: ScalarDistribution) -> str:
     return f"{d.kind}({','.join(params)}{','.join(components)})"
 
 
-class _ScanKey:
-    """A distribution as a key of the scan memo: equal to another exactly
-    when their ``_exact_key`` spellings are."""
-
-    __slots__ = ("dist", "key")
-
-    def __init__(self, dist: ScalarDistribution):
-        self.dist = dist
-        self.key = _exact_key(dist)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-
 @functools.lru_cache(maxsize=SCAN_MEMO_SIZE)
-def _memo(k0: _ScanKey, k1: _ScanKey) -> AdmissibilityReport:
-    return _scan(k0.dist, k1.dist)
+def _memo(g0: ScalarDistribution, g1: ScalarDistribution, k0: str, k1: str) -> AdmissibilityReport:
+    """The scan of (g0, g1), keyed on the pair and its exact spellings
+    ``k0``, ``k1``: two keys are equal when the distributions are ``==``
+    and their spellings agree, so ``-0.0`` and ``0.0`` stay apart."""
+    return _scan(g0, g1)
 
 
 def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> AdmissibilityReport:
@@ -345,7 +331,7 @@ def check_admissible(g0: ScalarDistribution, g1: ScalarDistribution) -> Admissib
     from the memo (see the module docstring), so each pair is scanned
     once per process.
     """
-    return _memo(_ScanKey(g0), _ScanKey(g1))
+    return _memo(g0, g1, _exact_key(g0), _exact_key(g1))
 
 
 check_admissible.cache_info = _memo.cache_info

@@ -10,14 +10,13 @@ from conftest import phi_cdf, phi_pdf
 from threshold_lab import (
     DistributionError,
     ScalarDistribution,
-    derivative_consistency,
     gumbel,
     logistic,
     make_distribution,
     mixture,
     normal,
 )
-from threshold_lab.distributions import CDF_PDF_TOL, PDF_FLOOR, PDF_PRIME_TOL
+from threshold_lab.distributions import PDF_FLOOR
 
 GRID = np.linspace(-10.0, 10.0, 401)
 INF = float("inf")
@@ -116,37 +115,6 @@ def test_cdf_monotone_1000_draws(kind):
         assert np.all(np.diff(values) >= 0.0)
         assert values[0] >= 0.0 and values[-1] <= 1.0
         assert d.cdf(-INF) == 0.0 and d.cdf(INF) == 1.0
-
-
-@pytest.mark.parametrize("kind", ["normal", "logistic", "gumbel", "mixture"])
-def test_derivative_consistency(kind):
-    rng = np.random.default_rng(hash(kind) % 2**31)
-    for _ in range(50):
-        d = _random_distribution(rng, kind)
-        cdf_err, pdf_err = derivative_consistency(d, GRID)
-        assert cdf_err < CDF_PDF_TOL
-        assert pdf_err < PDF_PRIME_TOL
-
-
-@pytest.mark.parametrize("make, min_scale", [(normal, 0.1), (logistic, 0.07), (gumbel, 0.12)])
-def test_derivative_consistency_scale_range(make, min_scale):
-    """The tolerances hold down to the scale the docstring names, with
-    the grid in the member's units so it finds the worst point near the
-    mode, and fail 20% below it."""
-    z = np.linspace(-10.0, 10.0, 4001)
-    for loc, scale in ((0.0, min_scale), (1e5, min_scale), (-3.0, 1e6)):
-        cdf_err, pdf_err = derivative_consistency(make(loc, scale), loc + scale * z)
-        assert cdf_err < CDF_PDF_TOL and pdf_err < PDF_PRIME_TOL
-    cdf_err, pdf_err = derivative_consistency(make(0.0, 0.8 * min_scale), 0.8 * min_scale * z)
-    assert pdf_err > PDF_PRIME_TOL
-
-
-def test_derivative_consistency_narrow_normal():
-    """normal(0, 0.05) misses both tolerances on a plain grid."""
-    cdf_err, pdf_err = derivative_consistency(normal(0, 0.05), np.linspace(-2.0, 2.0, 401))
-    assert cdf_err > CDF_PDF_TOL and pdf_err > PDF_PRIME_TOL
-    cdf_err, pdf_err = derivative_consistency(normal(0, 0.2), np.linspace(-2.0, 2.0, 401))
-    assert cdf_err < CDF_PDF_TOL and pdf_err < PDF_PRIME_TOL
 
 
 def test_pdf_strictly_positive_everywhere():

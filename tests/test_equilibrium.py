@@ -20,7 +20,6 @@ from threshold_lab import (
     normalize_pair,
     prevalence_neg,
     prevalence_pos,
-    prevalence_report,
 )
 
 INF = float("inf")
@@ -141,14 +140,6 @@ def test_prevalence_maximized_at_zero(suite_models):
     for label, model, _ in suite_models[:30]:
         values = prevalence_pos(model, ts)
         assert float(np.max(values)) <= prevalence_pos(model, 0.0) + 1e-12, label
-
-
-def test_prevalence_report(std_model):
-    rep = prevalence_report(std_model, 0.0)
-    assert rep.t == 0.0
-    assert rep.pi_pos == pytest.approx(PI0, abs=1e-12)
-    assert rep.gap == pytest.approx(2 * PI0 - 1.0, abs=1e-12)
-    assert 0.0 <= rep.pi_pos <= 1.0 and 0.0 <= rep.pi_neg <= 1.0
 
 
 def test_vectorized_matches_scalar(std_model):

@@ -448,7 +448,7 @@ def test_scaling_report_rejects_fewer_than_one_resample(n_resamples):
     """No resample would give a nan band reported as a bootstrap, and a
     negative count would fail inside numpy without naming the argument."""
     res = _metrics_report(4, np.r_[np.full(30, 0.2), np.full(30, 0.5)])
-    with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+    with pytest.raises(ValueError, match=r"^n_resamples: must be >= 1, got "):
         scaling_report(res, n_resamples)
 
 
@@ -457,7 +457,7 @@ def test_scaling_report_resamples_are_an_integer(n_resamples):
     """A fractional count would fail inside numpy without naming the
     argument, and a bool is not a count."""
     res = _metrics_report(4, np.r_[np.full(30, 0.2), np.full(30, 0.5)])
-    with pytest.raises(ValueError, match=rf"^n_resamples must be an integer, got {n_resamples!r}$"):
+    with pytest.raises(ValueError, match=rf"^n_resamples: expected an integer, got {n_resamples!r}$"):
         scaling_report(res, n_resamples)
 
 
